@@ -141,6 +141,7 @@ class DB {
   virtual Status Write(const WriteOptions& options, WriteBatch* updates) = 0;
 
   // NotFound if the key is absent (or deleted) at the read point.
+  // Incomplete if options.cache_only and the answer needs the device.
   virtual Status Get(const ReadOptions& options, const Slice& key,
                      std::string* value) = 0;
 
@@ -150,7 +151,8 @@ class DB {
   // if set, else the committed state when the batch starts).  DBImpl and
   // ShardedDB override this with a native implementation that acquires the
   // read view once and coalesces table I/O across the batch; the base
-  // implementation loops over Get.
+  // implementation loops over Get.  With options.cache_only each key that
+  // needs the device is Incomplete, the others are answered as usual.
   virtual void MultiGet(const ReadOptions& options, size_t count,
                         const Slice* keys, std::string* values,
                         Status* statuses);

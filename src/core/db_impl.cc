@@ -675,14 +675,23 @@ Status DBImpl::Get(const ReadOptions& options, const Slice& key,
               (view->imm != nullptr && view->imm->Get(lkey, value, &s));
     }
     if (!found) s = engine_->Get(options, lkey, value);
+    IAMDB_SYNC_POINT("DBImpl::Get:BeforeStampCheck");
     if (found || options.snapshot != nullptr || !s.IsNotFound() ||
         engine_->version_stamp() == stamp) {
+      break;
+    }
+    // A cache-only read stays bounded: the retry belongs to the full read
+    // its caller falls back to.
+    if (options.cache_only) {
+      s = Status::Incomplete("version changed during read");
       break;
     }
   }
   // Arbiter heartbeat for read-dominated workloads (one clock read when
   // due-check fails; try-lock when due, so the hot path never blocks).
-  if (arbiter_ != nullptr && arbiter_->RetuneDue()) {
+  // Cache-only reads leave it to the full reads, so no retune runs on a
+  // serving thread that must not stall.
+  if (!options.cache_only && arbiter_ != nullptr && arbiter_->RetuneDue()) {
     MaybeRebalanceMemoryFromRead();
   }
   return s;
@@ -781,6 +790,7 @@ void DBImpl::MultiGet(const ReadOptions& options, size_t count,
       }
     }
 
+    IAMDB_SYNC_POINT("DBImpl::MultiGet:BeforeStampCheck");
     if (options.snapshot != nullptr ||
         engine_->version_stamp() == stamp) {
       break;
@@ -792,10 +802,16 @@ void DBImpl::MultiGet(const ReadOptions& options, size_t count,
         unresolved.push_back(todo[j]);
       }
     }
+    if (options.cache_only) {  // bounded, as in Get
+      for (size_t i : unresolved) {
+        statuses[i] = Status::Incomplete("version changed during read");
+      }
+      break;
+    }
     todo = std::move(unresolved);
   }
 
-  if (arbiter_ != nullptr && arbiter_->RetuneDue()) {
+  if (!options.cache_only && arbiter_ != nullptr && arbiter_->RetuneDue()) {
     MaybeRebalanceMemoryFromRead();
   }
 }

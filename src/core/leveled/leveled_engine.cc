@@ -653,7 +653,7 @@ Status LeveledEngine::Get(const ReadOptions& options, const LookupKey& key,
     if (node->empty()) return false;
     std::shared_ptr<MSTableReader> reader;
     Status s = node->OpenReader(db_->env(), db_->options().table, db_->icmp(),
-                                db_->dbname(), &reader);
+                                db_->dbname(), &reader, options.cache_only);
     if (!s.ok()) {
       *result = s;
       *done = true;
@@ -723,7 +723,7 @@ void LeveledEngine::MultiGet(const ReadOptions& options,
     if (subset.empty()) return;
     std::shared_ptr<MSTableReader> reader;
     Status s = node->OpenReader(db_->env(), db_->options().table, db_->icmp(),
-                                db_->dbname(), &reader);
+                                db_->dbname(), &reader, options.cache_only);
     if (!s.ok()) {
       for (MultiGetRequest* r : subset) {
         if (r->status.ok()) r->status = s;

@@ -70,11 +70,14 @@ struct NodeMeta {
 
   bool empty() const { return file_number == 0 || data_bytes == 0; }
 
-  // Lazily open (and memoize) the table reader.  Thread-safe.
+  // Lazily open (and memoize) the table reader.  Thread-safe.  With
+  // `cache_only` it never opens a table and never waits for the lock: an
+  // unopened table, or one another thread is opening, is Incomplete.
   Status OpenReader(Env* env, const TableOptions& options,
                     const InternalKeyComparator* cmp,
                     const std::string& dbname,
-                    std::shared_ptr<MSTableReader>* out) const;
+                    std::shared_ptr<MSTableReader>* out,
+                    bool cache_only = false) const;
 
  private:
   mutable std::mutex reader_mu_;

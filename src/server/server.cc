@@ -30,6 +30,41 @@ constexpr int kMaxEpollEvents = 64;
 // per syscall already amortizes the syscall to noise.
 constexpr int kMaxIov = 64;
 
+// An MGET with more keys than this always runs on the pool, so one large
+// batch cannot stall every other connection on its reactor shard.
+constexpr uint32_t kMaxInlineMultiGetKeys = 64;
+
+// Decides whether a connection's next GET/MGET is first tried inline with
+// ReadOptions::cache_only.  It tracks the hit ratio of those attempts as an
+// EWMA (alpha 1/8, fixed point).  While the ratio is at least 1/2 every read
+// is tried; below that only every 16th, so a connection whose reads miss the
+// cache rarely pays for a probe the pool then repeats, yet notices when the
+// cache warms.  Driven only by the connection's own observed traffic;
+// reactor-thread only.
+class InlineGate {
+ public:
+  bool ShouldTry() {
+    if (hit_ratio_ >= kOne / 2) return true;
+    return ++skipped_ % kReprobeInterval == 0;
+  }
+
+  void Record(bool hit) { hit_ratio_ += ((hit ? kOne : 0) - hit_ratio_) / 8; }
+
+ private:
+  static constexpr int kOne = 1 << 10;
+  static constexpr uint32_t kReprobeInterval = 16;
+  int hit_ratio_ = kOne;  // a new connection starts by trying
+  uint32_t skipped_ = 0;
+};
+
+// Whether a request is a read the reactor may answer inline.
+bool InlineCandidate(wire::Opcode op, Slice payload) {
+  if (op == wire::Opcode::kGet) return true;
+  uint32_t keys;
+  return op == wire::Opcode::kMultiGet && GetVarint32(&payload, &keys) &&
+         keys <= kMaxInlineMultiGetKeys;
+}
+
 // Counts records while Iterate() checks structural integrity.
 class CountingHandler : public WriteBatch::Handler {
  public:
@@ -79,6 +114,9 @@ struct Server::AtomicStats {
   std::atomic<uint64_t> output_buffer_hwm{0};
   std::atomic<uint64_t> backpressure_stalls{0};
   std::atomic<uint64_t> overflow_disconnects{0};
+  std::atomic<uint64_t> inline_reads{0};
+  std::atomic<uint64_t> inline_fallbacks{0};
+  std::atomic<uint64_t> inline_skipped{0};
 };
 
 // One accepted socket, owned by exactly one shard.  Everything here is
@@ -101,6 +139,7 @@ struct Server::Connection {
   bool dead = false;         // closed; late completions are dropped
   bool touched = false;      // dedup flag for the per-iteration flush list
   uint32_t armed_events = 0; // events currently registered with epoll
+  InlineGate inline_gate;
 };
 
 // One epoll reactor.  The loop thread owns `conns` and all connection
@@ -298,6 +337,9 @@ ServerStats Server::stats() const {
       a.backpressure_stalls.load(std::memory_order_relaxed);
   s.overflow_disconnects =
       a.overflow_disconnects.load(std::memory_order_relaxed);
+  s.inline_reads = a.inline_reads.load(std::memory_order_relaxed);
+  s.inline_fallbacks = a.inline_fallbacks.load(std::memory_order_relaxed);
+  s.inline_skipped = a.inline_skipped.load(std::memory_order_relaxed);
   return s;
 }
 
@@ -317,7 +359,9 @@ std::string Server::StatsString() const {
       "reactor: shards=%d loop_iterations=%llu writev_calls=%llu "
       "responses_written=%llu responses_per_writev=%.2f\n"
       "reactor: output_buffer_hwm=%llu backpressure_stalls=%llu "
-      "overflow_disconnects=%llu\n",
+      "overflow_disconnects=%llu\n"
+      "reactor: inline_reads=%llu inline_fallbacks=%llu "
+      "inline_skipped=%llu\n",
       (unsigned long long)s.connections_accepted,
       (unsigned long long)s.connections_active,
       (unsigned long long)s.accept_errors, (unsigned long long)s.requests,
@@ -334,7 +378,10 @@ std::string Server::StatsString() const {
       (unsigned long long)s.responses_written, per_writev,
       (unsigned long long)s.output_buffer_hwm,
       (unsigned long long)s.backpressure_stalls,
-      (unsigned long long)s.overflow_disconnects);
+      (unsigned long long)s.overflow_disconnects,
+      (unsigned long long)s.inline_reads,
+      (unsigned long long)s.inline_fallbacks,
+      (unsigned long long)s.inline_skipped);
   return buf;
 }
 
@@ -547,12 +594,22 @@ void Server::ProcessInput(Shard* shard,
                           const std::shared_ptr<Connection>& conn) {
   Connection* c = conn.get();
   size_t consumed_total = 0;
+  // Inline answers queued by this call and not yet offered to the socket.
+  bool unflushed = false;
   while (!c->dead) {
     // Backpressure: stop decoding while the pipeline is full or the peer
     // is not draining its responses.  MaybeResume() restarts decoding of
     // whatever stayed buffered once a slot frees / the output drains.
     if (c->outstanding >= options_.max_pipeline ||
         c->out_bytes > options_.output_buffer_soft_limit) {
+      if (unflushed) {
+        // Offer the inline answers to the socket before judging the peer:
+        // pausing only once a send has come up short guarantees an EPOLLOUT
+        // (or a pool completion) will resume decoding.
+        unflushed = false;
+        FlushOutput(shard, c);
+        continue;
+      }
       if (!c->paused) {
         c->paused = true;
         if (c->out_bytes > options_.output_buffer_soft_limit) {
@@ -610,6 +667,26 @@ void Server::ProcessInput(Shard* shard,
     }
     consumed_total += consumed;
 
+    if (InlineCandidate(opcode, payload)) {
+      if (c->inline_gate.ShouldTry()) {
+        ReadOptions cache_only;
+        cache_only.cache_only = true;
+        std::string frame;
+        const bool hit =
+            Execute(request_id, opcode, payload, cache_only, &frame);
+        c->inline_gate.Record(hit);
+        if (hit) {
+          RelaxedAdd(stats_->inline_reads, 1);
+          QueueResponse(shard, c, std::move(frame));
+          unflushed = true;
+          continue;
+        }
+        RelaxedAdd(stats_->inline_fallbacks, 1);
+      } else {
+        RelaxedAdd(stats_->inline_skipped, 1);
+      }
+    }
+
     c->outstanding++;
     shard->outstanding_total++;
     std::string owned_payload = payload.ToString();
@@ -625,6 +702,7 @@ void Server::ProcessInput(Shard* shard,
     }
   }
   if (consumed_total > 0 && !c->dead) c->in_buf.erase(0, consumed_total);
+  if (unflushed) FlushOutput(shard, c);
 }
 
 void Server::QueueResponse(Shard* shard, Connection* c, std::string frame) {
@@ -748,50 +826,62 @@ void Server::CloseConnection(Shard* shard, Connection* c) {
   RelaxedAdd(stats_->connections_active, static_cast<uint64_t>(-1));
 }
 
-void Server::ExecuteRequest(const std::shared_ptr<Connection>& conn,
-                            uint64_t request_id, wire::Opcode opcode,
-                            const std::string& payload) {
-  RelaxedAdd(stats_->requests, 1);
+bool Server::Execute(uint64_t request_id, wire::Opcode opcode,
+                     const Slice& payload, const ReadOptions& read_options,
+                     std::string* frame) {
   std::string out;
+  std::atomic<uint64_t>* op_counter = nullptr;
+  bool complete = true;
   switch (opcode) {
     case wire::Opcode::kPing:
-      RelaxedAdd(stats_->pings, 1);
+      op_counter = &stats_->pings;
       wire::EncodeStatus(Status::OK(), &out);
       break;
     case wire::Opcode::kPut:
-      RelaxedAdd(stats_->puts, 1);
+      op_counter = &stats_->puts;
       DoPut(payload, &out);
       break;
     case wire::Opcode::kGet:
-      RelaxedAdd(stats_->gets, 1);
-      DoGet(payload, &out);
+      op_counter = &stats_->gets;
+      complete = DoGet(read_options, payload, &out);
       break;
     case wire::Opcode::kMultiGet:
-      RelaxedAdd(stats_->mgets, 1);
-      DoMultiGet(payload, &out);
+      op_counter = &stats_->mgets;
+      complete = DoMultiGet(read_options, payload, &out);
       break;
     case wire::Opcode::kDelete:
-      RelaxedAdd(stats_->deletes, 1);
+      op_counter = &stats_->deletes;
       DoDelete(payload, &out);
       break;
     case wire::Opcode::kWrite:
-      RelaxedAdd(stats_->writes, 1);
+      op_counter = &stats_->writes;
       DoWrite(payload, &out);
       break;
     case wire::Opcode::kScan:
-      RelaxedAdd(stats_->scans, 1);
+      op_counter = &stats_->scans;
       DoScan(payload, &out);
       break;
     case wire::Opcode::kInfo:
-      RelaxedAdd(stats_->infos, 1);
+      op_counter = &stats_->infos;
       DoInfo(payload, &out);
       break;
     default:
       wire::EncodeStatus(Status::InvalidArgument("unexpected opcode"), &out);
       break;
   }
+  if (!complete) return false;
+  // Counted once, by whichever path answers.
+  RelaxedAdd(stats_->requests, 1);
+  if (op_counter != nullptr) RelaxedAdd(*op_counter, 1);
+  wire::BuildFrame(request_id, opcode, out, frame);
+  return true;
+}
+
+void Server::ExecuteRequest(const std::shared_ptr<Connection>& conn,
+                            uint64_t request_id, wire::Opcode opcode,
+                            const std::string& payload) {
   std::string frame;
-  wire::BuildFrame(request_id, opcode, out, &frame);
+  Execute(request_id, opcode, payload, ReadOptions(), &frame);
 
   Shard* shard = conn->shard;
   bool wake = false;
@@ -815,44 +905,50 @@ void Server::DoPut(const Slice& payload, std::string* out) {
   wire::EncodeStatus(db_->Put(WriteOptions(), key, value), out);
 }
 
-void Server::DoGet(const Slice& payload, std::string* out) {
+bool Server::DoGet(const ReadOptions& read_options, const Slice& payload,
+                   std::string* out) {
   Slice key;
   if (!wire::DecodeKey(payload, &key)) {
     wire::EncodeStatus(Status::InvalidArgument("malformed GET payload"), out);
-    return;
+    return true;
   }
   std::string value;
-  Status s = db_->Get(ReadOptions(), key, &value);
+  Status s = db_->Get(read_options, key, &value);
+  if (s.IsIncomplete()) return false;
   wire::EncodeStatus(s, out);
   if (s.ok()) PutLengthPrefixedSlice(out, value);
+  return true;
 }
 
-void Server::DoMultiGet(const Slice& payload, std::string* out) {
+bool Server::DoMultiGet(const ReadOptions& read_options, const Slice& payload,
+                        std::string* out) {
   std::vector<Slice> keys;
   if (!wire::DecodeMultiGet(payload, &keys)) {
     wire::EncodeStatus(Status::InvalidArgument("malformed MGET payload"), out);
-    return;
+    return true;
   }
   if (keys.size() > options_.max_mget_keys) {
     wire::EncodeStatus(
         Status::InvalidArgument("MGET key count exceeds limit"), out);
-    return;
+    return true;
   }
-  RelaxedAdd(stats_->mget_keys, keys.size());
 
   // One snapshot for the whole batch: every key is read at the same
   // sequence, so a batch can never observe half of a concurrent write.
-  const Snapshot* snapshot = db_->GetSnapshot();
-  ReadOptions read_options;
-  read_options.snapshot = snapshot;
+  ReadOptions batch_options = read_options;
+  batch_options.snapshot = db_->GetSnapshot();
 
   // One native MultiGet for the whole batch: the DB acquires its read view
   // once and coalesces table I/O across the keys (docs/PROTOCOL.md).
   std::vector<std::string> values(keys.size());
   std::vector<Status> statuses(keys.size());
-  db_->MultiGet(read_options, keys.size(), keys.data(), values.data(),
+  db_->MultiGet(batch_options, keys.size(), keys.data(), values.data(),
                 statuses.data());
-  db_->ReleaseSnapshot(snapshot);
+  db_->ReleaseSnapshot(batch_options.snapshot);
+  for (const Status& s : statuses) {
+    if (s.IsIncomplete()) return false;  // the whole batch goes to the pool
+  }
+  RelaxedAdd(stats_->mget_keys, keys.size());
 
   std::vector<wire::MultiGetEntry> entries;
   entries.reserve(keys.size());
@@ -872,6 +968,7 @@ void Server::DoMultiGet(const Slice& payload, std::string* out) {
 
   wire::EncodeStatus(overall, out);
   if (overall.ok()) wire::EncodeMultiGetResponse(entries, out);
+  return true;
 }
 
 void Server::DoDelete(const Slice& payload, std::string* out) {

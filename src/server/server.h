@@ -6,12 +6,23 @@
 //   * one acceptor thread owns the listening socket and hands accepted
 //     sockets to the reactor shards round-robin;
 //   * `num_shards` reactor threads each run an epoll loop over the
-//     non-blocking connections they own: they decode frames, dispatch
-//     request execution onto the shared two-lane ThreadPool, and write
-//     responses;
+//     non-blocking connections they own: they decode frames, answer
+//     cache-resident reads inline (below), dispatch every other request
+//     onto the shared two-lane ThreadPool, and write responses;
 //   * `num_workers` pool threads execute DB work and post each finished
 //     response back to the owning shard (eventfd wakeup), where it is
 //     appended to the connection's output buffer.
+//
+// Inline reads: a GET, or an MGET of at most 64 keys, is first executed on
+// the reactor with ReadOptions::cache_only, which answers from the
+// memtables and block-cache tiers and returns Incomplete rather than touch
+// the device, wait on a table's open lock or retry.  A hit is queued
+// straight onto the connection — no pool hop, no eventfd round trip.  An
+// Incomplete goes to the pool exactly like any other request.  A
+// per-connection gate on the observed hit ratio of these attempts keeps a
+// connection whose reads miss the cache from paying for probes the pool
+// then repeats; it still re-probes now and then to notice a warming cache.
+// PUT, DELETE, WRITE, SCAN and INFO always run on the pool.
 //
 // Responses queued for one connection are flushed with a single writev()
 // whenever possible, so a pipelined client pays one syscall for a whole
@@ -106,6 +117,12 @@ struct ServerStats {
   uint64_t output_buffer_hwm = 0;    // max buffered response bytes seen
   uint64_t backpressure_stalls = 0;  // reads paused on the soft limit
   uint64_t overflow_disconnects = 0; // connections dropped at the hard limit
+  // Inline (reactor) reads.  Each GET/MGET the reactor may answer is one of:
+  // answered inline, tried inline and handed to the pool (Incomplete), or
+  // sent to the pool because the connection's hit-ratio gate said no.
+  uint64_t inline_reads = 0;
+  uint64_t inline_fallbacks = 0;
+  uint64_t inline_skipped = 0;
 };
 
 class Server {
@@ -150,9 +167,14 @@ class Server {
   void AcceptLoop();
   void ShardLoop(Shard* shard);
 
-  // Runs on a pool worker (or inline during teardown): executes the
-  // request against the DB, builds the complete response frame, posts it
-  // to the owning shard.
+  // Executes one request against the DB, counts it and builds its complete
+  // response frame.  Returns false — nothing counted, *frame untouched —
+  // when read_options.cache_only and the answer needs device I/O.
+  bool Execute(uint64_t request_id, wire::Opcode op, const Slice& payload,
+               const ReadOptions& read_options, std::string* frame);
+
+  // Runs on a pool worker (or inline during teardown): Execute()s the
+  // request and posts the response frame to the owning shard.
   void ExecuteRequest(const std::shared_ptr<Connection>& conn,
                       uint64_t request_id, wire::Opcode op,
                       const std::string& payload);
@@ -168,8 +190,12 @@ class Server {
   void MaybeFinish(Shard* shard, Connection* conn);
   void CloseConnection(Shard* shard, Connection* conn);
 
-  void DoGet(const Slice& payload, std::string* out);
-  void DoMultiGet(const Slice& payload, std::string* out);
+  // Read handlers return false, leaving *out empty, when a cache_only read
+  // came back Incomplete.
+  bool DoGet(const ReadOptions& read_options, const Slice& payload,
+             std::string* out);
+  bool DoMultiGet(const ReadOptions& read_options, const Slice& payload,
+                  std::string* out);
   void DoPut(const Slice& payload, std::string* out);
   void DoDelete(const Slice& payload, std::string* out);
   void DoWrite(const Slice& payload, std::string* out);

@@ -32,6 +32,10 @@ StatusCode CodeOf(const Status& s) {
   if (s.IsNotSupported()) return StatusCode::kNotSupported;
   if (s.IsInvalidArgument()) return StatusCode::kInvalidArgument;
   if (s.IsBusy()) return StatusCode::kBusy;
+  if (s.IsIOError()) return StatusCode::kIOError;
+  // Only Incomplete is left.  It has no wire code: the server answers a
+  // cache-only miss with a full read, so reaching here is a server bug.  It
+  // travels as an IOError that EncodeStatus labels "internal error".
   return StatusCode::kIOError;
 }
 
@@ -179,7 +183,8 @@ bool DecodeMultiGet(Slice payload, std::vector<Slice>* keys) {
 
 void EncodeStatus(const Status& s, std::string* dst) {
   dst->push_back(static_cast<char>(CodeOf(s)));
-  std::string msg = s.message();
+  std::string msg =
+      s.IsIncomplete() ? "internal error: " + s.ToString() : s.message();
   PutLengthPrefixedSlice(dst, msg);
 }
 

@@ -47,7 +47,8 @@ enum class Opcode : uint8_t {
   kError = 255    // server-generated: unparseable request
 };
 
-// Status codes on the wire; mirrors util/status.h Status::Code.
+// Status codes on the wire; mirrors util/status.h Status::Code except
+// Incomplete, which stays inside the server (see CodeOf).
 enum class StatusCode : uint8_t {
   kOk = 0,
   kNotFound = 1,

@@ -95,6 +95,10 @@ std::shared_ptr<const Block> SequenceReader::ReadDataBlock(
     }
   }
 
+  if (options.cache_only) {
+    *s = Status::Incomplete("block not cached");
+    return nullptr;
+  }
   // Device read: pace it if the caller (a compaction) carries the
   // background I/O budget.  Foreground ReadOptions leave this null.
   if (options.rate_limiter != nullptr) {
@@ -256,6 +260,10 @@ void SequenceReader::MultiGet(const ReadOptions& options,
                         /*from_compressed_tier=*/true, &groups[g].error);
         continue;
       }
+    }
+    if (options.cache_only) {
+      groups[g].error = Status::Incomplete("block not cached");
+      continue;
     }
     missing.push_back(g);
   }

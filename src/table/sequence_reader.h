@@ -43,7 +43,9 @@ class SequenceReader {
   enum class GetState { kNotFound, kFound, kDeleted, kCorrupt };
 
   // Looks up the newest entry for ikey's user key with sequence <= ikey's.
-  // kFound fills *value.
+  // kFound fills *value.  With options.cache_only a data block in neither
+  // cache tier is Status::Incomplete (here and per key in MultiGet) and the
+  // file is never read.
   Status Get(const ReadOptions& options, const Slice& ikey, std::string* value,
              GetState* state) const;
 
