@@ -3,10 +3,10 @@
 // skiplist, cache, WAL framing.
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
+#include <deque>
 #include <string>
 #include <vector>
-
-#include <algorithm>
 
 #include "core/compaction_stream.h"
 #include "core/db.h"
@@ -210,7 +210,11 @@ void BM_MSTableBuild(benchmark::State& state) {
 }
 BENCHMARK(BM_MSTableBuild)->Arg(1000)->Arg(10000);
 
+// Point lookups through MSTableReader::MultiGet, the table layer's only
+// point-read path, with a batch of range(0) keys (1 = one Get).  Items are
+// keys, so items_per_second compares the per-key cost of the two sizes.
 void BM_MSTableGet(benchmark::State& state) {
+  const size_t batch = static_cast<size_t>(state.range(0));
   MemEnv env;
   LruCache cache(64 << 20);
   TableOptions options;
@@ -226,17 +230,38 @@ void BM_MSTableGet(benchmark::State& state) {
   InternalKeyComparator cmp;
   std::shared_ptr<MSTableReader> reader;
   MSTableReader::Open(&env, options, &cmp, "/t", 1, result.meta_end, &reader);
+
+  // Pre-built batches of sorted random keys, so the loop times the lookup
+  // only; both batch sizes cycle through the same number of keys.
+  const size_t kBatches = 4096 / batch;
+  std::deque<LookupKey> lkeys;
   Random rnd(5);
-  for (auto _ : state) {
-    std::string v;
-    MSTableReader::GetState gs;
-    reader->Get(ReadOptions(), MakeIKey(rnd.Uniform(n), kMaxSequenceNumber),
-                &v, &gs);
-    benchmark::DoNotOptimize(gs);
+  for (size_t b = 0; b < kBatches; b++) {
+    std::vector<int> ids(batch);
+    for (int& id : ids) id = static_cast<int>(rnd.Uniform(n));
+    std::sort(ids.begin(), ids.end());
+    for (int id : ids) {
+      lkeys.emplace_back(ExtractUserKey(MakeIKey(id)), kMaxSequenceNumber);
+    }
   }
-  state.SetItemsProcessed(state.iterations());
+  std::vector<std::string> values(batch);
+  std::vector<MultiGetRequest> reqs(batch);
+  std::vector<MultiGetRequest*> ptrs(batch);
+  size_t next = 0;
+  for (auto _ : state) {
+    for (size_t i = 0; i < batch; i++) {
+      reqs[i] = MultiGetRequest();
+      reqs[i].lkey = &lkeys[next * batch + i];
+      reqs[i].value = &values[i];
+      ptrs[i] = &reqs[i];
+    }
+    reader->MultiGet(ReadOptions(), ptrs.data(), batch);
+    benchmark::DoNotOptimize(reqs[0].state);
+    next = (next + 1) % kBatches;
+  }
+  state.SetItemsProcessed(state.iterations() * batch);
 }
-BENCHMARK(BM_MSTableGet);
+BENCHMARK(BM_MSTableGet)->Arg(1)->Arg(16);
 
 void BM_MSTableAppendSequence(benchmark::State& state) {
   // Cost of one append compaction into an existing node, including the

@@ -148,14 +148,13 @@ class DB {
   // Batched point lookup: fills statuses[i]/values[i] for keys[i], each
   // exactly what Get(options, keys[i], &values[i]) would return at the
   // same read point.  All keys are read at ONE snapshot (options.snapshot
-  // if set, else the committed state when the batch starts).  DBImpl and
-  // ShardedDB override this with a native implementation that acquires the
-  // read view once and coalesces table I/O across the batch; the base
-  // implementation loops over Get.  With options.cache_only each key that
-  // needs the device is Incomplete, the others are answered as usual.
+  // if set, else the committed state when the batch starts); the read view
+  // is acquired once and table I/O coalesces across the batch.  With
+  // options.cache_only each key that needs the device is Incomplete, the
+  // others are answered as usual.
   virtual void MultiGet(const ReadOptions& options, size_t count,
                         const Slice* keys, std::string* values,
-                        Status* statuses);
+                        Status* statuses) = 0;
 
   // Bidirectional iterator over user keys (forward range scans are the
   // paper's workloads; reverse iteration is supported too).  Caller

@@ -2,6 +2,9 @@
 
 #include <algorithm>
 #include <cassert>
+#include <cstddef>
+#include <memory_resource>
+#include <optional>
 
 #include "core/amt/amt_engine.h"
 #include "core/db_iter.h"
@@ -640,121 +643,91 @@ Status DBImpl::Write(const WriteOptions& options, WriteBatch* updates) {
 // ---------------------------------------------------------------------------
 // Read path
 
-// Lock-free: acquires no lock the write path takes.  Ordering contract
-// (docs/CONCURRENCY.md): load the snapshot sequence FIRST, the view second.
-// Data only ever moves "down" (mem -> imm -> engine version), and each stage
-// is installed before the previous one is retired, so consulting stages in
-// the order mem, imm, engine — each loaded at or after the sequence load —
-// can never miss an entry at or below the loaded sequence.
+DBImpl::ReadPoint::ReadPoint(const DBImpl* db, const ReadOptions& options)
+    : engine_(options.snapshot == nullptr ? db->engine_.get() : nullptr) {
+  if (engine_ == nullptr) {
+    sequence_ = static_cast<const SnapshotImpl*>(options.snapshot)->sequence();
+    return;
+  }
+  stamp_ = engine_->version_stamp();
+  sequence_ = db->last_sequence_.load(std::memory_order_acquire);
+}
+
+bool DBImpl::ReadPoint::Stable() const {
+  return engine_ == nullptr || engine_->version_stamp() == stamp_;
+}
+
 Status DBImpl::Get(const ReadOptions& options, const Slice& key,
                    std::string* value) {
   Status s;
-  for (;;) {
-    // Optimistic validation against compaction GC: a compaction that STARTS
-    // after our sequence load may capture a larger smallest-snapshot and
-    // drop the newest entry at or below our sequence (its shadower being
-    // above it).  Versions installed before the sequence load can never do
-    // that, so an unchanged stamp proves a NotFound genuine; a moved stamp
-    // forces one more pass at a fresh sequence.  Registered snapshots are
-    // honoured by SmallestSnapshot() and never need the loop.
-    const uint64_t stamp =
-        options.snapshot == nullptr ? engine_->version_stamp() : 0;
-    const SequenceNumber snapshot =
-        options.snapshot != nullptr
-            ? static_cast<const SnapshotImpl*>(options.snapshot)->sequence()
-            : last_sequence_.load(std::memory_order_acquire);
-
-    LookupKey lkey(key, snapshot);
-    bool found;
-    {
-      // Epoch guard, not a refcount: the view (and the memtable references
-      // it pins) stays alive while the guard is held.  Dropped before the
-      // engine probe so block I/O never delays view reclamation.
-      auto view = read_view_.Acquire();
-      found = view->mem->Get(lkey, value, &s) ||
-              (view->imm != nullptr && view->imm->Get(lkey, value, &s));
-    }
-    if (!found) s = engine_->Get(options, lkey, value);
-    IAMDB_SYNC_POINT("DBImpl::Get:BeforeStampCheck");
-    if (found || options.snapshot != nullptr || !s.IsNotFound() ||
-        engine_->version_stamp() == stamp) {
-      break;
-    }
-    // A cache-only read stays bounded: the retry belongs to the full read
-    // its caller falls back to.
-    if (options.cache_only) {
-      s = Status::Incomplete("version changed during read");
-      break;
-    }
-  }
-  // Arbiter heartbeat for read-dominated workloads (one clock read when
-  // due-check fails; try-lock when due, so the hot path never blocks).
-  // Cache-only reads leave it to the full reads, so no retune runs on a
-  // serving thread that must not stall.
-  if (!options.cache_only && arbiter_ != nullptr && arbiter_->RetuneDue()) {
-    MaybeRebalanceMemoryFromRead();
-  }
+  Lookup(options, 1, &key, value, &s);
   return s;
 }
 
-void DB::MultiGet(const ReadOptions& options, size_t count, const Slice* keys,
-                  std::string* values, Status* statuses) {
-  for (size_t i = 0; i < count; ++i) {
-    statuses[i] = Get(options, keys[i], &values[i]);
-  }
-}
-
-// Native batched read: the snapshot sequence is loaded once, the read view
-// is acquired once for the whole batch's mem/imm probes, and the engine
-// sees the survivors sorted so per-table metadata and block I/O coalesce.
-// Per key the visit order (mem, imm, engine levels newest-first) and the
-// ordering contract are exactly Get's, so the results are byte-equivalent
-// to N sequential Gets at the same snapshot.
 void DBImpl::MultiGet(const ReadOptions& options, size_t count,
                       const Slice* keys, std::string* values,
                       Status* statuses) {
   multiget_batches_.fetch_add(1, std::memory_order_relaxed);
   multiget_keys_.fetch_add(count, std::memory_order_relaxed);
+  Lookup(options, count, keys, values, statuses);
+}
 
-  // Batch indices still being probed.  Starts as everything; after a pass
-  // it shrinks to the keys the engine found NOTHING for (state kPending)
-  // when the version stamp moved mid-pass — the compaction-GC hazard Get's
-  // retry loop guards against (see Get above).  Found values and observed
-  // tombstones are always genuine and never re-probed.
-  std::vector<size_t> todo(count);
-  for (size_t i = 0; i < count; ++i) todo[i] = i;
+// Lock-free: acquires no lock the write path takes.  Ordering contract
+// (docs/CONCURRENCY.md): load the snapshot sequence FIRST, the view second.
+// Data only ever moves "down" (mem -> imm -> engine version), and each stage
+// is installed before the previous one is retired, so consulting stages in
+// the order mem, imm, engine — each loaded at or after the sequence load —
+// can never miss an entry at or below the loaded sequence.  A pass loads
+// the sequence once and acquires the view once for all its mem/imm probes;
+// the engine sees the survivors sorted, so per-table metadata and block I/O
+// coalesce across the batch.
+void DBImpl::Lookup(const ReadOptions& options, size_t count,
+                    const Slice* keys, std::string* values,
+                    Status* statuses) {
+  // A request and the key it looks up; the key is rebuilt at each pass's
+  // sequence (LookupKey can be neither moved nor assigned).
+  struct Slot {
+    // User-provided, so the vector's value-initialization does not
+    // zero-fill the key buffer first.
+    Slot() {}
+    std::optional<LookupKey> lkey;
+    MultiGetRequest req;
+  };
+  // Every Get and most MultiGets keep their slots on the stack; a larger
+  // batch spills to the heap.
+  constexpr size_t kInlineKeys = 16;
+  alignas(Slot) std::byte
+      arena[kInlineKeys * (sizeof(Slot) + sizeof(MultiGetRequest*))];
+  std::pmr::monotonic_buffer_resource memory(arena, sizeof(arena));
+  std::pmr::vector<Slot> slots(count, &memory);
+  std::pmr::vector<MultiGetRequest*> pending(&memory);
+  pending.reserve(count);
+  MultiGetContext batch;
+  ReadOptions batch_options = options;
+  batch_options.batch = &batch;
 
-  while (!todo.empty()) {
-    const uint64_t stamp =
-        options.snapshot == nullptr ? engine_->version_stamp() : 0;
-    const SequenceNumber snapshot =
-        options.snapshot != nullptr
-            ? static_cast<const SnapshotImpl*>(options.snapshot)->sequence()
-            : last_sequence_.load(std::memory_order_acquire);
-
-    std::deque<LookupKey> lkeys;  // deque: LookupKey is not movable
-    std::vector<MultiGetRequest> reqs(todo.size());
-    std::vector<MultiGetRequest*> pending;
-    pending.reserve(todo.size());
-    for (size_t j = 0; j < todo.size(); ++j) {
-      lkeys.emplace_back(keys[todo[j]], snapshot);
-      reqs[j].lkey = &lkeys.back();
-      reqs[j].value = &values[todo[j]];
-    }
-
+  for (;;) {
+    const ReadPoint read_point(this, options);
+    pending.clear();
     {
-      // One epoch guard covers every mem/imm probe; dropped before engine
-      // block I/O, same as Get.
+      // Epoch guard, not a refcount: the view (and the memtable references
+      // it pins) stays alive while the guard is held.  Dropped before the
+      // engine probe so block I/O never delays view reclamation.
       auto view = read_view_.Acquire();
-      for (size_t j = 0; j < todo.size(); ++j) {
+      for (size_t i = 0; i < count; ++i) {
+        MultiGetRequest& req = slots[i].req;
+        if (req.resolved()) continue;  // final in an earlier pass
+        slots[i].lkey.emplace(keys[i], read_point.sequence());
+        req.lkey = &*slots[i].lkey;
+        req.value = &values[i];
         Status s;
-        if (view->mem->Get(*reqs[j].lkey, reqs[j].value, &s) ||
+        if (view->mem->Get(*req.lkey, req.value, &s) ||
             (view->imm != nullptr &&
-             view->imm->Get(*reqs[j].lkey, reqs[j].value, &s))) {
-          statuses[todo[j]] = s;
-          reqs[j].state = MultiGetRequest::State::kFound;  // resolved
+             view->imm->Get(*req.lkey, req.value, &s))) {
+          req.state = s.ok() ? MultiGetRequest::State::kFound
+                             : MultiGetRequest::State::kDeleted;
         } else {
-          pending.push_back(&reqs[j]);
+          pending.push_back(&req);
         }
       }
     }
@@ -767,59 +740,58 @@ void DBImpl::MultiGet(const ReadOptions& options, size_t count,
                 [](const MultiGetRequest* a, const MultiGetRequest* b) {
                   return a->lkey->user_key().compare(b->lkey->user_key()) < 0;
                 });
-      MultiGetContext batch;
-      ReadOptions batch_options = options;
-      batch_options.batch = &batch;
       engine_->MultiGet(batch_options, pending.data(), pending.size());
-      multiget_coalesced_reads_.fetch_add(batch.coalesced_reads,
-                                          std::memory_order_relaxed);
-      multiget_coalesced_blocks_.fetch_add(batch.coalesced_blocks,
-                                           std::memory_order_relaxed);
+    }
+
+    IAMDB_SYNC_POINT("DBImpl::Lookup:BeforeStampCheck");
+    // Optimistic validation against compaction GC: a compaction that STARTS
+    // after the sequence load may capture a larger smallest-snapshot and
+    // drop the newest entry at or below that sequence (its shadower being
+    // above it).  A found value or tombstone is always genuine; a key found
+    // nowhere needs a stable read point, else it takes another pass at a
+    // fresh sequence.
+    if (!AnyPending(pending.data(), pending.size()) || read_point.Stable()) {
+      break;
+    }
+    // A cache-only read stays bounded: the retry belongs to the full read
+    // its caller falls back to.
+    if (options.cache_only) {
       for (MultiGetRequest* r : pending) {
-        const size_t i = todo[static_cast<size_t>(r - reqs.data())];
-        if (!r->status.ok()) {
-          statuses[i] = r->status;
-        } else if (r->state == MultiGetRequest::State::kFound) {
-          statuses[i] = Status::OK();
-        } else {
-          // kDeleted, kCorrupt-with-OK-status (impossible) and
-          // still-pending all map to NotFound, matching the engine Get
-          // returns.
-          statuses[i] = Status::NotFound(Slice());
+        if (!r->resolved()) {
+          r->status = Status::Incomplete("version changed during read");
         }
       }
-    }
-
-    IAMDB_SYNC_POINT("DBImpl::MultiGet:BeforeStampCheck");
-    if (options.snapshot != nullptr ||
-        engine_->version_stamp() == stamp) {
       break;
     }
-    std::vector<size_t> unresolved;
-    for (size_t j = 0; j < todo.size(); ++j) {
-      if (reqs[j].state == MultiGetRequest::State::kPending &&
-          reqs[j].status.ok()) {
-        unresolved.push_back(todo[j]);
-      }
-    }
-    if (options.cache_only) {  // bounded, as in Get
-      for (size_t i : unresolved) {
-        statuses[i] = Status::Incomplete("version changed during read");
-      }
-      break;
-    }
-    todo = std::move(unresolved);
   }
 
+  if (batch.coalesced_reads > 0) {
+    multiget_coalesced_reads_.fetch_add(batch.coalesced_reads,
+                                        std::memory_order_relaxed);
+    multiget_coalesced_blocks_.fetch_add(batch.coalesced_blocks,
+                                         std::memory_order_relaxed);
+  }
+  for (size_t i = 0; i < count; ++i) {
+    const MultiGetRequest& req = slots[i].req;
+    if (!req.status.ok()) {
+      statuses[i] = req.status;
+    } else if (req.state == MultiGetRequest::State::kFound) {
+      statuses[i] = Status::OK();
+    } else {  // deleted, or absent everywhere
+      statuses[i] = Status::NotFound(Slice());
+    }
+  }
+
+  // Arbiter heartbeat for read-dominated workloads (one clock read when
+  // due-check fails; try-lock when due, so the hot path never blocks).
+  // Cache-only reads leave it to the full reads, so no retune runs on a
+  // serving thread that must not stall.
   if (!options.cache_only && arbiter_ != nullptr && arbiter_->RetuneDue()) {
     MaybeRebalanceMemoryFromRead();
   }
 }
 
-Iterator* DBImpl::NewInternalIterator(const ReadOptions& options,
-                                      SequenceNumber* latest_snapshot) {
-  // Same ordering as Get: sequence before view (see above).
-  *latest_snapshot = last_sequence_.load(std::memory_order_acquire);
+Iterator* DBImpl::NewInternalIterator(const ReadOptions& options) {
   std::vector<Iterator*> iters;
   {
     // The guard only needs to outlive iterator construction: each
@@ -836,22 +808,15 @@ Iterator* DBImpl::NewInternalIterator(const ReadOptions& options,
 }
 
 Iterator* DBImpl::NewIterator(const ReadOptions& options) {
-  // Same compaction-GC hazard as Get: a version installed between the
-  // sequence load and AddIterators may already have dropped entries at or
-  // below that sequence.  Once assembled under an unchanged stamp the
-  // iterator pins its version, so the hazard is construction-only.
+  // Same ordering and compaction-GC hazard as Lookup: a version installed
+  // between the sequence load and AddIterators may already have dropped
+  // entries at or below that sequence.  Once assembled at a stable read
+  // point the iterator pins its version, so the hazard is construction-only.
   for (;;) {
-    const uint64_t stamp =
-        options.snapshot == nullptr ? engine_->version_stamp() : 0;
-    SequenceNumber latest_snapshot;
-    Iterator* internal_iter = NewInternalIterator(options, &latest_snapshot);
-    if (options.snapshot != nullptr) {
-      return NewDBIterator(
-          internal_iter,
-          static_cast<const SnapshotImpl*>(options.snapshot)->sequence());
-    }
-    if (engine_->version_stamp() == stamp) {
-      return NewDBIterator(internal_iter, latest_snapshot);
+    const ReadPoint read_point(this, options);
+    Iterator* internal_iter = NewInternalIterator(options);
+    if (read_point.Stable()) {
+      return NewDBIterator(internal_iter, read_point.sequence());
     }
     delete internal_iter;
   }

@@ -142,8 +142,33 @@ class DBImpl final : public DB {
   void MaybeRebalanceMemoryFromRead();  // no mutex; try-locks
   void BackgroundCall(TreeEngine::WorkLane lane);
   void RemoveObsoleteFiles();  // mutex held (open/flush time)
-  Iterator* NewInternalIterator(const ReadOptions& options,
-                                SequenceNumber* latest_snapshot);
+  // The read-point protocol of every read (docs/CONCURRENCY.md, "Reads vs
+  // compaction garbage collection").  Construction samples the engine's
+  // version stamp, then loads the committed sequence — or takes
+  // options.snapshot's.  Stable() re-checks the stamp once the read is
+  // done: an unchanged stamp proves every version the read could have seen
+  // was installed before the sequence load, so their compactions only
+  // dropped entries shadowed at or below it and a NotFound is genuine.  A
+  // registered snapshot is honoured by SmallestSnapshot() and always
+  // stable.
+  class ReadPoint {
+   public:
+    ReadPoint(const DBImpl* db, const ReadOptions& options);
+    SequenceNumber sequence() const { return sequence_; }
+    bool Stable() const;
+
+   private:
+    const TreeEngine* engine_;  // null at a registered snapshot
+    uint64_t stamp_ = 0;
+    SequenceNumber sequence_ = 0;
+  };
+
+  // The one point-read path: Get is a batch of one, MultiGet of `count`.
+  // Fills statuses[i]/values[i] for keys[i], all at one read point,
+  // retrying the keys found nowhere until the read point is stable.
+  void Lookup(const ReadOptions& options, size_t count, const Slice* keys,
+              std::string* values, Status* statuses);
+  Iterator* NewInternalIterator(const ReadOptions& options);
 
   Options options_;
   std::string dbname_;
@@ -157,8 +182,9 @@ class DBImpl final : public DB {
 
   // mutex_ serializes the WRITE side only: the writer queue, memtable
   // rotation, background scheduling, and manifest edits.  The read hot path
-  // (Get / NewIterator) never acquires it — readers load read_view_ and
-  // last_sequence_ with acquire semantics (docs/CONCURRENCY.md).
+  // (Get / MultiGet / NewIterator) never acquires it — readers load
+  // read_view_ and last_sequence_ with acquire semantics
+  // (docs/CONCURRENCY.md).
   std::mutex mutex_;
   std::condition_variable bg_cv_;
   std::atomic<bool> shutting_down_{false};

@@ -642,165 +642,24 @@ Status LeveledEngine::CompactLevel(int level) {
   return Status::OK();
 }
 
-Status LeveledEngine::Get(const ReadOptions& options, const LookupKey& key,
-                          std::string* value) {
-  TreeVersionPtr version = current_version();
-  Slice user_key = key.user_key();
-  Slice ikey = key.internal_key();
-
-  auto check_node = [&](const NodePtr& node, bool* done,
-                        Status* result) -> bool {
-    if (node->empty()) return false;
-    std::shared_ptr<MSTableReader> reader;
-    Status s = node->OpenReader(db_->env(), db_->options().table, db_->icmp(),
-                                db_->dbname(), &reader, options.cache_only);
-    if (!s.ok()) {
-      *result = s;
-      *done = true;
-      return true;
-    }
-    MSTableReader::GetState state;
-    s = reader->Get(options, ikey, value, &state);
-    if (!s.ok()) {
-      *result = s;
-      *done = true;
-      return true;
-    }
-    switch (state) {
-      case MSTableReader::GetState::kFound:
-        *result = Status::OK();
-        *done = true;
-        return true;
-      case MSTableReader::GetState::kDeleted:
-        *result = Status::NotFound(Slice());
-        *done = true;
-        return true;
-      default:
-        return false;
-    }
-  };
-
-  bool done = false;
-  Status result = Status::NotFound(Slice());
-
-  // L0: newest file first.
-  const auto& l0 = version->level(0);
-  for (auto it = l0.rbegin(); it != l0.rend(); ++it) {
-    const NodePtr& node = *it;
-    if (!RangeCovered(node, user_key)) continue;
-    if (check_node(node, &done, &result)) return result;
-  }
-
-  // Deeper levels: at most one node covers the key.
-  for (int level = 1; level < version->num_levels(); level++) {
-    const auto& nodes = version->level(level);
-    // Binary search: first node with range_hi >= user_key.
-    size_t lo = 0, hi_idx = nodes.size();
-    while (lo < hi_idx) {
-      size_t mid = (lo + hi_idx) / 2;
-      if (Slice(nodes[mid]->range_hi).compare(user_key) < 0) {
-        lo = mid + 1;
-      } else {
-        hi_idx = mid;
-      }
-    }
-    if (lo < nodes.size() && RangeCovered(nodes[lo], user_key)) {
-      if (check_node(nodes[lo], &done, &result)) return result;
-    }
-  }
-  return Status::NotFound(Slice());
-}
-
 void LeveledEngine::MultiGet(const ReadOptions& options,
                              MultiGetRequest* const* reqs, size_t count) {
   TreeVersionPtr version = current_version();
-  std::vector<MultiGetRequest*> pending(reqs, reqs + count);
-
-  // Probes `node` with `subset` (pending keys its range covers).  Reader
-  // open errors become per-key statuses, mirroring Get's error return.
-  auto check_node = [&](const NodePtr& node,
-                        std::vector<MultiGetRequest*>& subset) {
-    if (subset.empty()) return;
-    std::shared_ptr<MSTableReader> reader;
-    Status s = node->OpenReader(db_->env(), db_->options().table, db_->icmp(),
-                                db_->dbname(), &reader, options.cache_only);
-    if (!s.ok()) {
-      for (MultiGetRequest* r : subset) {
-        if (r->status.ok()) r->status = s;
-      }
-      return;
-    }
-    reader->MultiGet(options, subset.data(), subset.size());
+  auto probe_level = [&](const NodePtr* nodes, size_t num_nodes) {
+    MultiGetLevel(nodes, num_nodes, db_->env(), db_->options().table,
+                  db_->icmp(), db_->dbname(), options, reqs, count);
   };
 
-  auto drop_resolved = [&pending]() {
-    pending.erase(std::remove_if(pending.begin(), pending.end(),
-                                 [](const MultiGetRequest* r) {
-                                   return r->resolved();
-                                 }),
-                  pending.end());
-  };
-
-  // L0: newest file first, each probed with the pending keys it covers —
-  // the same per-key file visit order as Get.
+  // L0 files overlap: each is a level of its own, newest first.
   const auto& l0 = version->level(0);
-  for (auto it = l0.rbegin(); it != l0.rend() && !pending.empty(); ++it) {
-    const NodePtr& node = *it;
-    if (node->empty()) continue;
-    std::vector<MultiGetRequest*> subset;
-    for (MultiGetRequest* r : pending) {
-      if (RangeCovered(node, r->lkey->user_key())) subset.push_back(r);
-    }
-    check_node(node, subset);
-    drop_resolved();
+  for (size_t i = l0.size(); i > 0 && AnyPending(reqs, count); i--) {
+    probe_level(&l0[i - 1], 1);
   }
-
-  // Deeper levels: disjoint sorted ranges, so a run of consecutive sorted
-  // keys maps to one covering node and shares its bloom/index/blocks.
-  for (int level = 1; level < version->num_levels() && !pending.empty();
-       level++) {
-    const auto& nodes = version->level(level);
-    if (nodes.empty()) continue;
-    size_t i = 0;
-    while (i < pending.size()) {
-      Slice user_key = pending[i]->lkey->user_key();
-      // Binary search: first node with range_hi >= user_key.
-      size_t lo = 0, hi_idx = nodes.size();
-      while (lo < hi_idx) {
-        size_t mid = (lo + hi_idx) / 2;
-        if (Slice(nodes[mid]->range_hi).compare(user_key) < 0) {
-          lo = mid + 1;
-        } else {
-          hi_idx = mid;
-        }
-      }
-      if (lo >= nodes.size()) break;  // later keys are larger still
-      const NodePtr& node = nodes[lo];
-      if (!RangeCovered(node, user_key) || node->empty()) {
-        ++i;
-        continue;
-      }
-      // Keys after i that fall at or below this node's range_hi land in the
-      // same node (they are >= user_key >= range_lo).
-      std::vector<MultiGetRequest*> subset;
-      size_t j = i;
-      for (; j < pending.size(); ++j) {
-        if (Slice(node->range_hi).compare(pending[j]->lkey->user_key()) < 0) {
-          break;
-        }
-        subset.push_back(pending[j]);
-      }
-      check_node(node, subset);
-      i = j;
-    }
-    drop_resolved();
+  // Deeper levels: disjoint sorted ranges.
+  for (int level = 1;
+       level < version->num_levels() && AnyPending(reqs, count); level++) {
+    probe_level(version->level(level).data(), version->level(level).size());
   }
-}
-
-bool LeveledEngine::RangeCovered(const NodePtr& node,
-                                 const Slice& user_key) const {
-  return Slice(node->range_lo).compare(user_key) <= 0 &&
-         Slice(node->range_hi).compare(user_key) >= 0;
 }
 
 void LeveledEngine::AddIterators(const ReadOptions& options,

@@ -36,8 +36,6 @@ class LeveledEngine final : public TreeEngine {
   bool NeedsCompaction() const override;
   int RunnableCompactions(int max) const override;
   Status BackgroundWork(WorkLane lane, bool* did_work) override;
-  Status Get(const ReadOptions& options, const LookupKey& key,
-             std::string* value) override;
   void MultiGet(const ReadOptions& options, MultiGetRequest* const* reqs,
                 size_t count) override;
   void AddIterators(const ReadOptions& options,
@@ -86,7 +84,6 @@ class LeveledEngine final : public TreeEngine {
   std::vector<NodePtr> OverlappingInputs(const TreeVersion& version, int level,
                                          const Slice& lo_user,
                                          const Slice& hi_user) const;
-  bool RangeCovered(const NodePtr& node, const Slice& user_key) const;
   NodeEdit ToEdit(const NodeMeta& node, int level) const;
 
   DBImpl* db_;

@@ -236,10 +236,11 @@ struct Options {
   LeveledOptions leveled;
 };
 
-// I/O accounting for one MultiGet batch.  DBImpl::MultiGet points
+// I/O accounting for one point read.  DBImpl::Lookup points
 // ReadOptions::batch at a stack instance; the table layer adds every
 // vectored device read that covered more than one block, and DBImpl folds
-// the totals into DbStats when the batch completes.
+// the totals into DbStats when the read completes.  A one-key Get never
+// coalesces, so only MultiGet batches move the gauges.
 struct MultiGetContext {
   uint64_t coalesced_reads = 0;   // contiguous device runs covering 2+ blocks
   uint64_t coalesced_blocks = 0;  // blocks fetched by those runs
@@ -254,13 +255,13 @@ struct ReadOptions {
   // compaction-input reads so merge reads share the background I/O budget).
   // Not owned.
   RateLimiter* rate_limiter = nullptr;
-  // Non-null while serving a MultiGet batch (set by DBImpl::MultiGet, not
-  // by callers).  Not owned.
+  // Non-null while serving a point read (set by DBImpl, not by callers).
+  // Not owned.
   MultiGetContext* batch = nullptr;
   // No-I/O read tier for Get/MultiGet: answer only from the memtables and
   // the block-cache tiers.  Where the answer needs the device — an unopened
   // table, a block in neither cache tier — or a stamp retry (see
-  // DBImpl::Get), the read returns Status::Incomplete instead, without
+  // DBImpl::Lookup), the read returns Status::Incomplete instead, without
   // blocking on I/O or on a table's open lock.  Not meant for iterators.
   bool cache_only = false;
 };

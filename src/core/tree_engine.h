@@ -55,17 +55,14 @@ class TreeEngine {
   // on that lane (everything pending is busy on other threads).
   virtual Status BackgroundWork(WorkLane lane, bool* did_work) = 0;
 
-  // Lock-free read path (no DB mutex): reads a published tree version.
-  virtual Status Get(const ReadOptions& options, const LookupKey& key,
-                     std::string* value) = 0;
-
-  // Batched lock-free read: `reqs` are still-pending requests sorted by
-  // internal key, all at one snapshot sequence.  Keys are grouped by
-  // covering node per level so each table's bloom/index is consulted once
-  // per group and cache-missing data blocks coalesce into vectored device
-  // reads.  Outcomes land in each request's state/status; keys absent
-  // everywhere stay pending (the caller maps those to NotFound).
-  // Byte-equivalent to calling Get() per key.
+  // Lock-free point read (no DB mutex) of a published tree version: `reqs`
+  // are still-pending requests sorted by internal key, all at one snapshot
+  // sequence (DBImpl::Get sends a batch of one).  Each key visits levels
+  // newest first and, per level, its covering node; keys are grouped by
+  // covering node so each table's bloom/index is consulted once per group
+  // and cache-missing data blocks coalesce into vectored device reads.
+  // Outcomes land in each request's state/status; keys absent everywhere
+  // stay pending (the caller maps those to NotFound).
   virtual void MultiGet(const ReadOptions& options,
                         MultiGetRequest* const* reqs, size_t count) = 0;
 

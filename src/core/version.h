@@ -79,12 +79,32 @@ struct NodeMeta {
                     std::shared_ptr<MSTableReader>* out,
                     bool cache_only = false) const;
 
+  // Point lookup of reqs[0, count) in this node's table (see
+  // MSTableReader::MultiGet), opened as by OpenReader with
+  // options.cache_only.  An open error lands on every pending request.
+  void MultiGet(Env* env, const TableOptions& table_options,
+                const InternalKeyComparator* cmp, const std::string& dbname,
+                const ReadOptions& options, MultiGetRequest* const* reqs,
+                size_t count) const;
+
  private:
   mutable std::mutex reader_mu_;
   mutable std::shared_ptr<MSTableReader> reader_;
 };
 
 using NodePtr = std::shared_ptr<NodeMeta>;
+
+// Point lookup of reqs[0, count) (sorted by internal key) in one level
+// whose nodes[0, num_nodes) hold disjoint user-key ranges in key order:
+// each run of consecutive pending keys one non-empty node covers is probed
+// with one NodeMeta::MultiGet, so the run shares the node's bloom, index
+// and coalesced block reads.  A lone node (a leveled L0 file) is a level
+// of one.  The table arguments are OpenReader's.
+void MultiGetLevel(const NodePtr* nodes, size_t num_nodes, Env* env,
+                   const TableOptions& table_options,
+                   const InternalKeyComparator* cmp,
+                   const std::string& dbname, const ReadOptions& options,
+                   MultiGetRequest* const* reqs, size_t count);
 
 // An immutable picture of the tree.  levels()[0] is the first ON-DISK level
 // (L1 in the paper for AMT; L0 for the leveled engine).

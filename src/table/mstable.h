@@ -135,19 +135,12 @@ class MSTableReader {
   Slice smallest() const { return smallest_; }
   Slice largest() const { return largest_; }
 
-  enum class GetState { kNotFound, kFound, kDeleted, kCorrupt };
-
-  // Point lookup: newest sequence first; stops at the first version of the
-  // user key with sequence <= ikey's snapshot sequence.
-  Status Get(const ReadOptions& options, const Slice& ikey, std::string* value,
-             GetState* state) const;
-
-  // Batched point lookup: `reqs` are pending requests sorted by internal
-  // key.  Each sequence (newest first) is probed with the keys the younger
-  // sequences left pending; per sequence the bloom filter and index are
-  // consulted once per key and cache-missing data blocks are fetched with
-  // one vectored read.  Per-key outcomes land in each request's
-  // state/status; byte-equivalent to calling Get() per key.
+  // Point lookup of reqs[0, count), sorted by internal key; resolved
+  // requests are skipped.  Sequences are probed newest first, each with the
+  // keys the younger ones left pending, so the first version found with
+  // sequence <= a key's lookup sequence is the visible one (upper sequences
+  // hold newer data).  Per-key outcomes land in each request's
+  // state/status; see SequenceReader::MultiGet.
   void MultiGet(const ReadOptions& options, MultiGetRequest* const* reqs,
                 size_t count) const;
 

@@ -75,10 +75,8 @@ std::shared_ptr<const Block> SequenceReader::FinishBlock(
   return block;
 }
 
-std::shared_ptr<const Block> SequenceReader::ReadDataBlock(
-    const ReadOptions& options, const BlockHandle& handle, Status* s) const {
-  const BlockCacheKey key{file_number_, handle.offset()};
-
+std::shared_ptr<const Block> SequenceReader::CachedBlock(
+    const ReadOptions& options, const BlockCacheKey& key, Status* s) const {
   if (options_.block_cache != nullptr) {
     auto cached = CacheLookup<Block>(*options_.block_cache, key);
     if (cached != nullptr) return cached;
@@ -95,10 +93,16 @@ std::shared_ptr<const Block> SequenceReader::ReadDataBlock(
     }
   }
 
-  if (options.cache_only) {
-    *s = Status::Incomplete("block not cached");
-    return nullptr;
-  }
+  if (options.cache_only) *s = Status::Incomplete("block not cached");
+  return nullptr;
+}
+
+std::shared_ptr<const Block> SequenceReader::ReadDataBlock(
+    const ReadOptions& options, const BlockHandle& handle, Status* s) const {
+  const BlockCacheKey key{file_number_, handle.offset()};
+  std::shared_ptr<const Block> cached = CachedBlock(options, key, s);
+  if (cached != nullptr || !s->ok()) return cached;
+
   // Device read: pace it if the caller (a compaction) carries the
   // background I/O budget.  Foreground ReadOptions leave this null.
   if (options.rate_limiter != nullptr) {
@@ -130,43 +134,6 @@ Iterator* SequenceReader::NewBlockIterator(const ReadOptions& options,
   return iter;
 }
 
-Status SequenceReader::Get(const ReadOptions& options, const Slice& ikey,
-                           std::string* value, GetState* state) const {
-  *state = GetState::kNotFound;
-  Slice user_key = ExtractUserKey(ikey);
-  if (!KeyMayMatch(user_key)) return Status::OK();
-
-  std::unique_ptr<Iterator> index_iter(index_block_.NewIterator(cmp_));
-  index_iter->Seek(ikey);
-  if (!index_iter->Valid()) return index_iter->status();
-
-  Slice input = index_iter->value();
-  BlockHandle handle;
-  Status s = handle.DecodeFrom(&input);
-  if (!s.ok()) return s;
-  std::shared_ptr<const Block> block = ReadDataBlock(options, handle, &s);
-  if (block == nullptr) return s;
-
-  std::unique_ptr<Iterator> block_iter(block->NewIterator(cmp_));
-  block_iter->Seek(ikey);
-  if (block_iter->Valid()) {
-    ParsedInternalKey parsed;
-    if (!ParseInternalKey(block_iter->key(), &parsed)) {
-      *state = GetState::kCorrupt;
-      return Status::Corruption("bad internal key in sequence");
-    }
-    if (parsed.user_key == user_key) {
-      if (parsed.type == kTypeValue) {
-        value->assign(block_iter->value().data(), block_iter->value().size());
-        *state = GetState::kFound;
-      } else {
-        *state = GetState::kDeleted;
-      }
-    }
-  }
-  return block_iter->status();
-}
-
 void SequenceReader::ResolveInBlock(const Block& block,
                                     MultiGetRequest* req) const {
   std::unique_ptr<Iterator> block_iter(block.NewIterator(cmp_));
@@ -174,7 +141,6 @@ void SequenceReader::ResolveInBlock(const Block& block,
   if (block_iter->Valid()) {
     ParsedInternalKey parsed;
     if (!ParseInternalKey(block_iter->key(), &parsed)) {
-      req->state = MultiGetRequest::State::kCorrupt;
       req->status = Status::Corruption("bad internal key in sequence");
       return;
     }
@@ -196,29 +162,33 @@ void SequenceReader::ResolveInBlock(const Block& block,
 void SequenceReader::MultiGet(const ReadOptions& options,
                               MultiGetRequest* const* reqs,
                               size_t count) const {
-  // Keys mapped to the same data block share one Group; requests arrive in
-  // internal-key order and the index is in key order, so same-block keys
-  // are adjacent and block offsets ascend across groups.
-  struct Group {
+  // Requests arrive in internal-key order and the index is in key order,
+  // so same-block keys are adjacent and block offsets ascend.  Each run of
+  // same-block keys looks its block up in the cache tiers once; a cached
+  // block resolves the run on the spot, and runs whose block must come
+  // from the device are deferred to one vectored read.
+  struct Miss {
     BlockHandle handle;
-    std::shared_ptr<const Block> block;
-    Status error;
-    size_t first_key = 0;  // range into `probe`
+    size_t first_key = 0;  // range into `miss_reqs`
     size_t num_keys = 0;
+    std::string stored;  // read buffer, then the block's stored bytes
   };
-  std::vector<MultiGetRequest*> probe;
-  std::vector<Group> groups;
-  std::unique_ptr<Iterator> index_iter(index_block_.NewIterator(cmp_));
+  std::vector<Miss> misses;
+  std::vector<MultiGetRequest*> miss_reqs;
+  std::unique_ptr<Iterator> index_iter;  // only once a key passes the bloom
+  BlockHandle run_handle;  // the current run's block
+  bool in_run = false;
+  std::shared_ptr<const Block> run_block;
+  Status run_error;
   for (size_t i = 0; i < count; ++i) {
     MultiGetRequest* req = reqs[i];
     if (req->resolved()) continue;
     if (!KeyMayMatch(req->lkey->user_key())) continue;
+    if (index_iter == nullptr) index_iter.reset(index_block_.NewIterator(cmp_));
     index_iter->Seek(req->lkey->internal_key());
     if (!index_iter->Valid()) {
       // Past the last block: the key is not in this sequence.
-      if (!index_iter->status().ok() && req->status.ok()) {
-        req->status = index_iter->status();
-      }
+      req->status = index_iter->status();
       continue;
     }
     Slice input = index_iter->value();
@@ -228,117 +198,96 @@ void SequenceReader::MultiGet(const ReadOptions& options,
       req->status = s;
       continue;
     }
-    if (groups.empty() || groups.back().handle.offset() != handle.offset()) {
-      Group g;
-      g.handle = handle;
-      g.first_key = probe.size();
-      groups.push_back(std::move(g));
+    if (!in_run || handle.offset() != run_handle.offset()) {
+      in_run = true;
+      run_handle = handle;
+      run_error = Status::OK();
+      run_block = CachedBlock(
+          options, BlockCacheKey{file_number_, handle.offset()}, &run_error);
+      if (run_block == nullptr && run_error.ok()) {
+        Miss m;
+        m.handle = handle;
+        m.first_key = miss_reqs.size();
+        misses.push_back(std::move(m));
+      }
     }
-    probe.push_back(req);
-    groups.back().num_keys++;
+    if (run_block != nullptr) {
+      ResolveInBlock(*run_block, req);
+    } else if (!run_error.ok()) {
+      req->status = run_error;
+    } else {
+      miss_reqs.push_back(req);
+      misses.back().num_keys++;
+    }
   }
-  if (groups.empty()) return;
+  if (misses.empty()) return;
 
-  // Cache probes per group; misses on both tiers queue for the device.
-  std::vector<size_t> missing;
-  for (size_t g = 0; g < groups.size(); ++g) {
-    const BlockCacheKey key{file_number_, groups[g].handle.offset()};
-    if (options_.block_cache != nullptr) {
-      auto cached = CacheLookup<Block>(*options_.block_cache, key);
-      if (cached != nullptr) {
-        groups[g].block = std::move(cached);
+  // One vectored read covers every device-missing block of this sequence,
+  // each into its own buffer; adjacent blocks coalesce into single device
+  // operations underneath.
+  const uint64_t trailer = BlockTrailerSize(format_version_);
+  std::vector<ReadRequest> rr(misses.size());
+  size_t total = 0;
+  for (size_t i = 0; i < misses.size(); ++i) {
+    rr[i].offset = misses[i].handle.offset();
+    rr[i].n = static_cast<size_t>(misses[i].handle.size() + trailer);
+    misses[i].stored.resize(rr[i].n);
+    rr[i].scratch = misses[i].stored.data();
+    total += rr[i].n;
+  }
+  if (options.rate_limiter != nullptr) options.rate_limiter->Request(total);
+  file_->ReadV(rr.data(), rr.size());
+
+  if (options.batch != nullptr) {
+    // Batch accounting: contiguous runs of 2+ blocks became one device
+    // read each.
+    size_t run_len = 1;
+    for (size_t i = 1; i <= rr.size(); ++i) {
+      if (i < rr.size() && rr[i].offset == rr[i - 1].offset + rr[i - 1].n) {
+        run_len++;
         continue;
       }
-    }
-    if (options_.compressed_block_cache != nullptr) {
-      auto compressed =
-          CacheLookup<CompressedBlock>(*options_.compressed_block_cache, key);
-      if (compressed != nullptr) {
-        std::string stored(compressed->data);
-        groups[g].block =
-            FinishBlock(options, key, std::move(stored), compressed->type,
-                        /*from_compressed_tier=*/true, &groups[g].error);
-        continue;
+      if (run_len >= 2) {
+        options.batch->coalesced_reads++;
+        options.batch->coalesced_blocks += run_len;
       }
-    }
-    if (options.cache_only) {
-      groups[g].error = Status::Incomplete("block not cached");
-      continue;
-    }
-    missing.push_back(g);
-  }
-
-  // One vectored read covers every device-missing block of this sequence;
-  // adjacent blocks coalesce into single device operations underneath.
-  if (!missing.empty()) {
-    const uint64_t trailer = BlockTrailerSize(format_version_);
-    size_t total = 0;
-    for (size_t g : missing) {
-      total += static_cast<size_t>(groups[g].handle.size() + trailer);
-    }
-    if (options.rate_limiter != nullptr) options.rate_limiter->Request(total);
-    auto scratch = std::make_unique<char[]>(total);
-    std::vector<ReadRequest> rr(missing.size());
-    size_t buf_off = 0;
-    for (size_t i = 0; i < missing.size(); ++i) {
-      const BlockHandle& h = groups[missing[i]].handle;
-      rr[i].offset = h.offset();
-      rr[i].n = static_cast<size_t>(h.size() + trailer);
-      rr[i].scratch = scratch.get() + buf_off;
-      buf_off += rr[i].n;
-    }
-    file_->ReadV(rr.data(), rr.size());
-
-    if (options.batch != nullptr) {
-      // Batch accounting: contiguous runs of 2+ blocks became one device
-      // read each.
-      size_t run_len = 1;
-      for (size_t i = 1; i <= rr.size(); ++i) {
-        if (i < rr.size() && rr[i].offset == rr[i - 1].offset + rr[i - 1].n) {
-          run_len++;
-          continue;
-        }
-        if (run_len >= 2) {
-          options.batch->coalesced_reads++;
-          options.batch->coalesced_blocks += run_len;
-        }
-        run_len = 1;
-      }
-    }
-
-    const bool verify =
-        options.verify_checksums || options_.verify_checksums;
-    for (size_t i = 0; i < missing.size(); ++i) {
-      Group& grp = groups[missing[i]];
-      Status s = rr[i].status;
-      if (s.ok() && rr[i].result.size() != rr[i].n) {
-        s = Status::Corruption("truncated block read");
-      }
-      CompressionType type = CompressionType::kNone;
-      if (s.ok()) {
-        s = CheckBlockTrailer(rr[i].result.data(), grp.handle.size(), verify,
-                              format_version_, &type);
-      }
-      if (s.ok()) {
-        std::string stored(rr[i].result.data(),
-                           static_cast<size_t>(grp.handle.size()));
-        grp.block = FinishBlock(
-            options, BlockCacheKey{file_number_, grp.handle.offset()},
-            std::move(stored), type, /*from_compressed_tier=*/false, &s);
-      }
-      if (grp.block == nullptr) grp.error = s;
+      run_len = 1;
     }
   }
 
-  for (const Group& grp : groups) {
-    if (grp.block == nullptr) {
-      for (size_t k = grp.first_key; k < grp.first_key + grp.num_keys; ++k) {
-        if (probe[k]->status.ok()) probe[k]->status = grp.error;
-      }
-      continue;
+  const bool verify = options.verify_checksums || options_.verify_checksums;
+  for (size_t i = 0; i < misses.size(); ++i) {
+    Miss& m = misses[i];
+    Status s = rr[i].status;
+    if (s.ok() && rr[i].result.size() != rr[i].n) {
+      s = Status::Corruption("truncated block read");
     }
-    for (size_t k = grp.first_key; k < grp.first_key + grp.num_keys; ++k) {
-      if (!probe[k]->resolved()) ResolveInBlock(*grp.block, probe[k]);
+    CompressionType type = CompressionType::kNone;
+    if (s.ok()) {
+      s = CheckBlockTrailer(rr[i].result.data(), m.handle.size(), verify,
+                            format_version_, &type);
+    }
+    std::shared_ptr<const Block> block;
+    if (s.ok()) {
+      // The read may have landed elsewhere (mmap-style envs return
+      // internal pointers); normalize into the block's own buffer.
+      const size_t n = static_cast<size_t>(m.handle.size());
+      if (rr[i].result.data() != m.stored.data()) {
+        m.stored.assign(rr[i].result.data(), n);
+      } else {
+        m.stored.resize(n);  // strip the trailer
+      }
+      block = FinishBlock(options,
+                          BlockCacheKey{file_number_, m.handle.offset()},
+                          std::move(m.stored), type,
+                          /*from_compressed_tier=*/false, &s);
+    }
+    for (size_t k = m.first_key; k < m.first_key + m.num_keys; ++k) {
+      if (block != nullptr) {
+        ResolveInBlock(*block, miss_reqs[k]);
+      } else {
+        miss_reqs[k]->status = s;
+      }
     }
   }
 }

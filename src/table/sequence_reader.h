@@ -40,22 +40,15 @@ class SequenceReader {
   // Bloom check on the user key; false means definitely absent.
   bool KeyMayMatch(const Slice& user_key) const;
 
-  enum class GetState { kNotFound, kFound, kDeleted, kCorrupt };
-
-  // Looks up the newest entry for ikey's user key with sequence <= ikey's.
-  // kFound fills *value.  With options.cache_only a data block in neither
-  // cache tier is Status::Incomplete (here and per key in MultiGet) and the
-  // file is never read.
-  Status Get(const ReadOptions& options, const Slice& ikey, std::string* value,
-             GetState* state) const;
-
-  // Batched lookup.  `reqs` are still-pending requests sorted by internal
-  // key.  The bloom filter and in-memory index are consulted once per key;
-  // all cache-missing data blocks are fetched with a single vectored ReadV
-  // (adjacent blocks coalesce into one device read) and inserted into each
-  // cache tier at most once.  Requests resolved here get state/status set;
-  // the rest stay pending for older sequences/levels.  Byte-equivalent to
-  // calling Get() per key.
+  // Point lookup of reqs[0, count), sorted by internal key; resolved
+  // requests are skipped.  Each finds the newest entry for its user key
+  // with sequence <= its lookup sequence.  The bloom filter and in-memory
+  // index are consulted once per key; all cache-missing data blocks are
+  // fetched with a single vectored ReadV (adjacent blocks coalesce into one
+  // device read) and inserted into each cache tier at most once.  Requests
+  // resolved here get state/status set; the rest stay pending for older
+  // sequences/levels.  With options.cache_only a data block in neither
+  // cache tier is Status::Incomplete and the file is never read.
   void MultiGet(const ReadOptions& options, MultiGetRequest* const* reqs,
                 size_t count) const;
 
@@ -65,6 +58,13 @@ class SequenceReader {
  private:
   Iterator* NewBlockIterator(const ReadOptions& options,
                              const Slice& index_value) const;
+  // The block at `key` from either cache tier (a compressed-tier hit is
+  // decompressed and promoted).  nullptr with *s OK means it must come from
+  // the device; with options.cache_only a miss sets *s to Incomplete
+  // instead.
+  std::shared_ptr<const Block> CachedBlock(const ReadOptions& options,
+                                           const BlockCacheKey& key,
+                                           Status* s) const;
   std::shared_ptr<const Block> ReadDataBlock(const ReadOptions& options,
                                              const BlockHandle& handle,
                                              Status* s) const;
@@ -79,8 +79,7 @@ class SequenceReader {
                                            CompressionType type,
                                            bool from_compressed_tier,
                                            Status* s) const;
-  // Resolves one request against a loaded data block (shared by Get's tail
-  // and MultiGet).
+  // Resolves one request against a loaded data block.
   void ResolveInBlock(const Block& block, MultiGetRequest* req) const;
 
   const TableOptions options_;

@@ -5,7 +5,8 @@
 // compactions (run under TSan in CI).  Also the no-I/O read tier
 // (ReadOptions::cache_only) behind both Get and MultiGet: Incomplete on a
 // cold cache without touching the device, byte-equal to full reads on a
-// warm one.
+// warm one.  And a flipped bit in a data block is Corruption for Get and
+// MultiGet alike once checksums are verified.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -230,6 +231,21 @@ TEST_P(MultiGetTest, CoalescingGaugesRecorded) {
   ASSERT_TRUE(db_->WaitForQuiescence().ok());
   Reopen();
 
+  // Gets take the same path as a batch of one but are not batches: the
+  // exact counts below include none of them.  Their keys lie far from the
+  // batch's, so they warm none of its blocks.
+  for (int i = 100; i < 110; i++) {
+    std::string value;
+    ASSERT_TRUE(db_->Get(ReadOptions(), Key(i), &value).ok());
+  }
+  std::string absent;
+  ASSERT_TRUE(db_->Get(ReadOptions(), "zzz-absent", &absent).IsNotFound());
+  DbStats before = db_->GetStats();
+  EXPECT_EQ(before.multiget_batches, 0u);
+  EXPECT_EQ(before.multiget_keys, 0u);
+  EXPECT_EQ(before.multiget_coalesced_reads, 0u);
+  EXPECT_EQ(before.multiget_coalesced_blocks, 0u);
+
   std::vector<std::string> keys;
   std::vector<Slice> slices;
   for (int i = 5000; i < 5064; i++) keys.push_back(Key(i));
@@ -247,6 +263,57 @@ TEST_P(MultiGetTest, CoalescingGaugesRecorded) {
   EXPECT_GT(stats.multiget_coalesced_reads, 0u) << GetParam().name;
   EXPECT_GE(stats.multiget_coalesced_blocks,
             2 * stats.multiget_coalesced_reads);
+}
+
+// A flipped bit in a data block is Corruption for Get and MultiGet alike
+// once checksums are verified and no cache tier holds a clean copy; keys in
+// other blocks still read normally.
+TEST_P(MultiGetTest, CorruptDataBlockIsCorruptionForGetAndMultiGet) {
+  block_cache_bytes_ = 0;
+  Open();
+  for (int i = 0; i < 100; i++) {
+    ASSERT_TRUE(db_->Put(WriteOptions(), Key(i), Value(i, 1)).ok());
+  }
+  ASSERT_TRUE(db_->FlushAll().ok());
+  ASSERT_TRUE(db_->WaitForQuiescence().ok());
+  db_.reset();
+
+  // Key(0) is the smallest key, so it sits in the first data block of the
+  // table that holds it; flip a bit there in every table.
+  std::vector<std::string> children;
+  ASSERT_TRUE(env_.GetChildren("/db", &children).ok());
+  int tables = 0;
+  for (const std::string& name : children) {
+    if (name.size() < 4 || name.compare(name.size() - 4, 4, ".mst") != 0) {
+      continue;
+    }
+    const std::string path = "/db/" + name;
+    std::string contents;
+    ASSERT_TRUE(ReadFileToString(&env_, path, &contents).ok());
+    ASSERT_GT(contents.size(), 10u);
+    contents[10] ^= 0x1;
+    ASSERT_TRUE(WriteStringToFile(&env_, contents, path, false).ok());
+    tables++;
+  }
+  ASSERT_GT(tables, 0);
+  Open();
+
+  ReadOptions verify;
+  verify.verify_checksums = true;
+  std::string value;
+  Status s = db_->Get(verify, Key(0), &value);
+  EXPECT_TRUE(s.IsCorruption()) << GetParam().name << ": " << s.ToString();
+
+  const std::string corrupt_key = Key(0);
+  const std::string far_key = Key(99);
+  std::vector<Slice> keys = {Slice(corrupt_key), Slice(far_key)};
+  std::vector<std::string> values(keys.size());
+  std::vector<Status> statuses(keys.size());
+  db_->MultiGet(verify, keys.size(), keys.data(), values.data(),
+                statuses.data());
+  EXPECT_TRUE(statuses[0].IsCorruption()) << statuses[0].ToString();
+  EXPECT_TRUE(statuses[1].ok()) << statuses[1].ToString();
+  EXPECT_EQ(Value(99, 1), values[1]);
 }
 
 // Race cell (TSan): MultiGet batches run against a writer that forces

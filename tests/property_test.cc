@@ -11,6 +11,7 @@
 #include "core/db.h"
 #include "core/dbformat.h"
 #include "env/mem_env.h"
+#include "mstable_get.h"
 #include "table/block.h"
 #include "table/block_builder.h"
 #include "table/bloom.h"
@@ -178,14 +179,14 @@ TEST_P(MSTableSweepTest, MultiAppendModelCheck) {
     char buf[16];
     snprintf(buf, sizeof(buf), "k%05d", i);
     std::string value;
-    MSTableReader::GetState state;
+    MultiGetRequest::State state;
     std::string ikey = IKey(buf, 1000);
-    ASSERT_TRUE(reader->Get(ReadOptions(), ikey, &value, &state).ok());
+    ASSERT_TRUE(TableGet(*reader, ReadOptions(), ikey, &value, &state).ok());
     auto it = model.find(buf);
     if (it == model.end()) {
-      EXPECT_EQ(MSTableReader::GetState::kNotFound, state) << buf;
+      EXPECT_EQ(MultiGetRequest::State::kPending, state) << buf;
     } else {
-      ASSERT_EQ(MSTableReader::GetState::kFound, state) << buf;
+      ASSERT_EQ(MultiGetRequest::State::kFound, state) << buf;
       EXPECT_EQ(it->second, value) << buf;
     }
   }
@@ -275,6 +276,38 @@ TEST_P(DbSweepTest, ModelCheckWithReopen) {
   ASSERT_TRUE(iter->status().ok());
   EXPECT_EQ(model.size(), dump.size());
   EXPECT_EQ(model, dump);
+
+  // And by point reads of every key in the key space — live, deleted and
+  // never written: one Get per key, then the same keys as one MultiGet.
+  std::vector<std::string> keys;
+  for (int i = 0; i < ops + 50; i++) {  // past every written index
+    char key[32];
+    snprintf(key, sizeof(key), "key%08d", i);
+    keys.emplace_back(key);
+  }
+  auto expect_model = [&](const std::string& key, const Status& s,
+                          const std::string& value) {
+    auto it = model.find(key);
+    if (it == model.end()) {
+      EXPECT_TRUE(s.IsNotFound()) << key << ": " << s.ToString();
+    } else {
+      EXPECT_TRUE(s.ok()) << key << ": " << s.ToString();
+      EXPECT_EQ(it->second, value) << key;
+    }
+  };
+  for (const std::string& key : keys) {
+    std::string value;
+    Status s = db->Get(ReadOptions(), key, &value);
+    expect_model(key, s, value);
+  }
+  std::vector<Slice> slices(keys.begin(), keys.end());
+  std::vector<std::string> values(keys.size());
+  std::vector<Status> statuses(keys.size());
+  db->MultiGet(ReadOptions(), keys.size(), slices.data(), values.data(),
+               statuses.data());
+  for (size_t i = 0; i < keys.size(); i++) {
+    expect_model(keys[i], statuses[i], values[i]);
+  }
 }
 
 // ---------------------------------------------------------------------------

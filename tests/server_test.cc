@@ -1065,7 +1065,8 @@ TEST(ServerInlineReadTest, ColdDbFallsBackAndMostlySkipsInline) {
 // A version installed between a cache-only read's engine probe and its
 // stamp check (IAMDB_SYNC_POINT) makes the read Incomplete instead of
 // retrying on the caller's thread; through the server the same GET falls
-// back to the pool, which retries as usual and answers correctly.
+// back to the pool, which retries as usual and answers correctly, while an
+// MGET (read at a registered snapshot) needs no retry and stays inline.
 TEST(ServerInlineReadTest, VersionInstallMidReadFallsBackToPool) {
 #ifndef IAMDB_SYNC_POINTS
   GTEST_SKIP() << "sync points compiled out (-DIAMDB_SYNC_POINTS=ON)";
@@ -1088,8 +1089,8 @@ TEST(ServerInlineReadTest, VersionInstallMidReadFallsBackToPool) {
     installs++;
   };
   SyncPoint* sp = SyncPoint::Instance();
-  sp->SetCallback("DBImpl::Get:BeforeStampCheck", install_once);
-  sp->SetCallback("DBImpl::MultiGet:BeforeStampCheck", install_once);
+  // One point on the shared point-read path covers GET and MGET alike.
+  sp->SetCallback("DBImpl::Lookup:BeforeStampCheck", install_once);
   sp->EnableProcessing();
 
   ReadOptions cache_only;
@@ -1137,6 +1138,26 @@ TEST(ServerInlineReadTest, VersionInstallMidReadFallsBackToPool) {
   EXPECT_EQ(before.gets + 1, after.gets);
   ASSERT_TRUE(client.Get(InlineKey(7), &value).ok());
   EXPECT_EQ(InlineValue(7), value);
+
+  // An MGET through the server passes the same point, but the server reads
+  // a batch at a registered snapshot, which no compaction can collect
+  // under: the install does not stop the reactor's answer.
+  warm();
+  const ServerStats before_mget = owned.server->stats();
+  armed = true;
+  std::vector<std::string> mget_values;
+  std::vector<Status> mget_statuses;
+  s = client.MultiGet({"ik-absent", found_key}, &mget_values, &mget_statuses);
+  ASSERT_TRUE(s.ok()) << s.ToString();
+  ASSERT_EQ(2u, mget_statuses.size());
+  EXPECT_TRUE(mget_statuses[0].IsNotFound()) << mget_statuses[0].ToString();
+  EXPECT_TRUE(mget_statuses[1].ok()) << mget_statuses[1].ToString();
+  EXPECT_EQ(InlineValue(7), mget_values[1]);
+  EXPECT_EQ(4, installs.load());
+  const ServerStats after_mget = owned.server->stats();
+  EXPECT_EQ(before_mget.inline_reads + 1, after_mget.inline_reads);
+  EXPECT_EQ(before_mget.inline_fallbacks, after_mget.inline_fallbacks);
+  EXPECT_EQ(before_mget.mgets + 1, after_mget.mgets);
 
   sp->Reset();
 #endif
