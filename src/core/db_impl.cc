@@ -715,8 +715,10 @@ void DBImpl::Lookup(const ReadOptions& options, size_t count,
       // engine probe so block I/O never delays view reclamation.
       auto view = read_view_.Acquire();
       for (size_t i = 0; i < count; ++i) {
+        // Every pass resolves every key afresh, so the whole batch is read
+        // at this pass's one read point.
         MultiGetRequest& req = slots[i].req;
-        if (req.resolved()) continue;  // final in an earlier pass
+        req = MultiGetRequest();
         slots[i].lkey.emplace(keys[i], read_point.sequence());
         req.lkey = &*slots[i].lkey;
         req.value = &values[i];
@@ -748,8 +750,8 @@ void DBImpl::Lookup(const ReadOptions& options, size_t count,
     // after the sequence load may capture a larger smallest-snapshot and
     // drop the newest entry at or below that sequence (its shadower being
     // above it).  A found value or tombstone is always genuine; a key found
-    // nowhere needs a stable read point, else it takes another pass at a
-    // fresh sequence.
+    // nowhere needs a stable read point, else the batch takes another pass
+    // at a fresh sequence — all of it, so no answer mixes two read points.
     if (!AnyPending(pending.data(), pending.size()) || read_point.Stable()) {
       break;
     }

@@ -1,8 +1,8 @@
 // DbStats aggregation.  ShardedDB::GetStats folds per-shard snapshots with
-// this operator; tests/db_stats_test.cc walks every wire tag and fails if
-// a newly added field is missing here or in the codec.
+// this operator; each metric combines by the StatMerge of its list line.
 #include <algorithm>
 #include <cstdint>
+#include <type_traits>
 
 #include "core/db.h"
 
@@ -24,85 +24,42 @@ double CombineAmps(double lhs_amp, uint64_t lhs_user, double rhs_amp,
 }
 
 template <typename T>
-void PadAndAdd(std::vector<T>* lhs, const std::vector<T>& rhs) {
-  if (lhs->size() < rhs.size()) lhs->resize(rhs.size(), T{});
-  for (size_t i = 0; i < rhs.size(); i++) (*lhs)[i] += rhs[i];
+void Merge(StatMerge merge, T& lhs, const T& rhs, uint64_t lhs_user,
+           uint64_t rhs_user) {
+  if constexpr (kIsPerLevelStat<T>) {
+    // Level by level, a level one side lacks counting as zero on that
+    // side: kPadAdd adds, kWeightedAmp combines each level's amp.
+    if (lhs.size() < rhs.size()) lhs.resize(rhs.size());
+    const StatMerge each =
+        merge == StatMerge::kPadAdd ? StatMerge::kSum : merge;
+    for (size_t i = 0; i < lhs.size(); i++) {
+      const typename T::value_type zero{};
+      Merge(each, lhs[i], i < rhs.size() ? rhs[i] : zero, lhs_user,
+            rhs_user);
+    }
+  } else if (merge == StatMerge::kMax) {
+    lhs = std::max(lhs, rhs);
+  } else if (merge == StatMerge::kWeightedAmp) {
+    if constexpr (std::is_floating_point_v<T>) {
+      lhs = CombineAmps(lhs, lhs_user, rhs, rhs_user);
+    }
+  } else {
+    lhs += rhs;
+  }
 }
 
 }  // namespace
 
 DbStats& operator+=(DbStats& lhs, const DbStats& rhs) {
-  // Amps first: they read user_bytes before it is summed.  A self-add
-  // (x += x) still works because rhs's fields are read before lhs mutates
-  // the ones they depend on.
-  lhs.total_write_amp = CombineAmps(lhs.total_write_amp, lhs.user_bytes,
-                                    rhs.total_write_amp, rhs.user_bytes);
-  if (lhs.level_write_amp.size() < rhs.level_write_amp.size()) {
-    lhs.level_write_amp.resize(rhs.level_write_amp.size(), 0);
-  }
-  for (size_t i = 0; i < rhs.level_write_amp.size(); i++) {
-    lhs.level_write_amp[i] = CombineAmps(lhs.level_write_amp[i],
-                                         lhs.user_bytes,
-                                         rhs.level_write_amp[i],
-                                         rhs.user_bytes);
-  }
-
-  PadAndAdd(&lhs.level_bytes, rhs.level_bytes);
-  PadAndAdd(&lhs.level_node_counts, rhs.level_node_counts);
-
-  lhs.user_bytes += rhs.user_bytes;
-  lhs.space_used_bytes += rhs.space_used_bytes;
-  lhs.cache_usage += rhs.cache_usage;
-  lhs.cache_hits += rhs.cache_hits;
-  lhs.cache_misses += rhs.cache_misses;
-  lhs.mixed_level = std::max(lhs.mixed_level, rhs.mixed_level);
-  lhs.mixed_level_k = std::max(lhs.mixed_level_k, rhs.mixed_level_k);
-  lhs.pending_debt_bytes += rhs.pending_debt_bytes;
-  lhs.stall_micros += rhs.stall_micros;
-  lhs.io.bytes_written += rhs.io.bytes_written;
-  lhs.io.bytes_read += rhs.io.bytes_read;
-  lhs.io.write_ops += rhs.io.write_ops;
-  lhs.io.read_ops += rhs.io.read_ops;
-  lhs.io.fsyncs += rhs.io.fsyncs;
-  lhs.flush_queue_depth += rhs.flush_queue_depth;
-  lhs.compact_queue_depth += rhs.compact_queue_depth;
-  lhs.subcompactions_run += rhs.subcompactions_run;
-  lhs.rate_limiter_wait_micros += rhs.rate_limiter_wait_micros;
-  lhs.rate_limiter_paced_wall_micros += rhs.rate_limiter_paced_wall_micros;
-  // Budgets and ingest rates sum: the aggregate is the cluster-wide
-  // bytes/sec.  Retunes are a plain counter.
-  lhs.pacer_rate_bytes_per_sec += rhs.pacer_rate_bytes_per_sec;
-  lhs.pacer_ingest_bytes_per_sec += rhs.pacer_ingest_bytes_per_sec;
-  lhs.pacer_retunes += rhs.pacer_retunes;
-  lhs.server_loop_iterations += rhs.server_loop_iterations;
-  lhs.server_writev_calls += rhs.server_writev_calls;
-  lhs.server_responses_written += rhs.server_responses_written;
-  lhs.server_output_buffer_hwm =
-      std::max(lhs.server_output_buffer_hwm, rhs.server_output_buffer_hwm);
-  lhs.server_backpressure_stalls += rhs.server_backpressure_stalls;
-  lhs.server_accept_errors += rhs.server_accept_errors;
-  lhs.compress_input_bytes += rhs.compress_input_bytes;
-  lhs.compress_stored_bytes += rhs.compress_stored_bytes;
-  lhs.compress_columnar_blocks += rhs.compress_columnar_blocks;
-  lhs.compress_lz_blocks += rhs.compress_lz_blocks;
-  lhs.compress_raw_fallback_blocks += rhs.compress_raw_fallback_blocks;
-  lhs.decompressed_blocks += rhs.decompressed_blocks;
-  lhs.decompress_micros += rhs.decompress_micros;
-  lhs.compressed_cache_usage += rhs.compressed_cache_usage;
-  lhs.compressed_cache_hits += rhs.compressed_cache_hits;
-  lhs.compressed_cache_misses += rhs.compressed_cache_misses;
-  // Arbiter budgets/divisions sum like the pacer rates: the aggregate is
-  // the cluster-wide memory pool and its current split.
-  lhs.arbiter_budget_bytes += rhs.arbiter_budget_bytes;
-  lhs.arbiter_write_bytes += rhs.arbiter_write_bytes;
-  lhs.arbiter_read_bytes += rhs.arbiter_read_bytes;
-  lhs.arbiter_retunes += rhs.arbiter_retunes;
-  lhs.arbiter_shifts += rhs.arbiter_shifts;
-  lhs.mixed_level_retunes += rhs.mixed_level_retunes;
-  lhs.multiget_batches += rhs.multiget_batches;
-  lhs.multiget_keys += rhs.multiget_keys;
-  lhs.multiget_coalesced_reads += rhs.multiget_coalesced_reads;
-  lhs.multiget_coalesced_blocks += rhs.multiget_coalesced_blocks;
+  // The amps' weights are read before user_bytes is summed, which also
+  // keeps a self-add (x += x) right.
+  const uint64_t lhs_user = lhs.user_bytes;
+  const uint64_t rhs_user = rhs.user_bytes;
+  ForEachDbStat(
+      [&](const StatInfo& info, auto& l, const auto& r) {
+        Merge(info.merge, l, r, lhs_user, rhs_user);
+      },
+      lhs, rhs);
   return lhs;
 }
 

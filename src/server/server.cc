@@ -91,33 +91,13 @@ void RelaxedMax(std::atomic<uint64_t>& counter, uint64_t v) {
 // pool worker and flush on every shard, so a shared mutex here would be
 // per-request contention for numbers that only need to be individually
 // monotonic.
+#define IAMDB_SERVER_STAT_ATOMIC(field) std::atomic<uint64_t> field{0};
+
 struct Server::AtomicStats {
-  std::atomic<uint64_t> connections_accepted{0};
-  std::atomic<uint64_t> connections_active{0};
-  std::atomic<uint64_t> requests{0};
-  std::atomic<uint64_t> puts{0};
-  std::atomic<uint64_t> gets{0};
-  std::atomic<uint64_t> deletes{0};
-  std::atomic<uint64_t> writes{0};
-  std::atomic<uint64_t> scans{0};
-  std::atomic<uint64_t> infos{0};
-  std::atomic<uint64_t> pings{0};
-  std::atomic<uint64_t> mgets{0};
-  std::atomic<uint64_t> mget_keys{0};
-  std::atomic<uint64_t> malformed_frames{0};
-  std::atomic<uint64_t> bytes_received{0};
-  std::atomic<uint64_t> bytes_sent{0};
-  std::atomic<uint64_t> accept_errors{0};
-  std::atomic<uint64_t> loop_iterations{0};
-  std::atomic<uint64_t> writev_calls{0};
-  std::atomic<uint64_t> responses_written{0};
-  std::atomic<uint64_t> output_buffer_hwm{0};
-  std::atomic<uint64_t> backpressure_stalls{0};
-  std::atomic<uint64_t> overflow_disconnects{0};
-  std::atomic<uint64_t> inline_reads{0};
-  std::atomic<uint64_t> inline_fallbacks{0};
-  std::atomic<uint64_t> inline_skipped{0};
+  IAMDB_SERVER_STATS(IAMDB_SERVER_STAT_ATOMIC)
 };
+
+#undef IAMDB_SERVER_STAT_ATOMIC
 
 // One accepted socket, owned by exactly one shard.  Everything here is
 // touched only from the owning shard's thread; pool workers hold a
@@ -311,78 +291,24 @@ void Server::Stop() {
 }
 
 ServerStats Server::stats() const {
-  const AtomicStats& a = *stats_;
   ServerStats s;
-  s.connections_accepted = a.connections_accepted.load(std::memory_order_relaxed);
-  s.connections_active = a.connections_active.load(std::memory_order_relaxed);
-  s.requests = a.requests.load(std::memory_order_relaxed);
-  s.puts = a.puts.load(std::memory_order_relaxed);
-  s.gets = a.gets.load(std::memory_order_relaxed);
-  s.deletes = a.deletes.load(std::memory_order_relaxed);
-  s.writes = a.writes.load(std::memory_order_relaxed);
-  s.scans = a.scans.load(std::memory_order_relaxed);
-  s.infos = a.infos.load(std::memory_order_relaxed);
-  s.pings = a.pings.load(std::memory_order_relaxed);
-  s.mgets = a.mgets.load(std::memory_order_relaxed);
-  s.mget_keys = a.mget_keys.load(std::memory_order_relaxed);
-  s.malformed_frames = a.malformed_frames.load(std::memory_order_relaxed);
-  s.bytes_received = a.bytes_received.load(std::memory_order_relaxed);
-  s.bytes_sent = a.bytes_sent.load(std::memory_order_relaxed);
-  s.accept_errors = a.accept_errors.load(std::memory_order_relaxed);
-  s.loop_iterations = a.loop_iterations.load(std::memory_order_relaxed);
-  s.writev_calls = a.writev_calls.load(std::memory_order_relaxed);
-  s.responses_written = a.responses_written.load(std::memory_order_relaxed);
-  s.output_buffer_hwm = a.output_buffer_hwm.load(std::memory_order_relaxed);
-  s.backpressure_stalls =
-      a.backpressure_stalls.load(std::memory_order_relaxed);
-  s.overflow_disconnects =
-      a.overflow_disconnects.load(std::memory_order_relaxed);
-  s.inline_reads = a.inline_reads.load(std::memory_order_relaxed);
-  s.inline_fallbacks = a.inline_fallbacks.load(std::memory_order_relaxed);
-  s.inline_skipped = a.inline_skipped.load(std::memory_order_relaxed);
+  ForEachServerStat(
+      [](const char*, uint64_t& out, const std::atomic<uint64_t>& counter) {
+        out = counter.load(std::memory_order_relaxed);
+      },
+      s, *stats_);
   return s;
 }
 
 std::string Server::StatsString() const {
-  ServerStats s = stats();
-  char buf[1024];
-  const double per_writev =
-      s.writev_calls > 0
-          ? static_cast<double>(s.responses_written) / s.writev_calls
-          : 0.0;
-  std::snprintf(
-      buf, sizeof(buf),
-      "connections: accepted=%llu active=%llu accept_errors=%llu\n"
-      "requests=%llu put=%llu get=%llu delete=%llu write=%llu "
-      "scan=%llu info=%llu ping=%llu mget=%llu mget_keys=%llu\n"
-      "malformed_frames=%llu bytes_received=%llu bytes_sent=%llu\n"
-      "reactor: shards=%d loop_iterations=%llu writev_calls=%llu "
-      "responses_written=%llu responses_per_writev=%.2f\n"
-      "reactor: output_buffer_hwm=%llu backpressure_stalls=%llu "
-      "overflow_disconnects=%llu\n"
-      "reactor: inline_reads=%llu inline_fallbacks=%llu "
-      "inline_skipped=%llu\n",
-      (unsigned long long)s.connections_accepted,
-      (unsigned long long)s.connections_active,
-      (unsigned long long)s.accept_errors, (unsigned long long)s.requests,
-      (unsigned long long)s.puts, (unsigned long long)s.gets,
-      (unsigned long long)s.deletes, (unsigned long long)s.writes,
-      (unsigned long long)s.scans, (unsigned long long)s.infos,
-      (unsigned long long)s.pings, (unsigned long long)s.mgets,
-      (unsigned long long)s.mget_keys,
-      (unsigned long long)s.malformed_frames,
-      (unsigned long long)s.bytes_received,
-      (unsigned long long)s.bytes_sent, num_shards(),
-      (unsigned long long)s.loop_iterations,
-      (unsigned long long)s.writev_calls,
-      (unsigned long long)s.responses_written, per_writev,
-      (unsigned long long)s.output_buffer_hwm,
-      (unsigned long long)s.backpressure_stalls,
-      (unsigned long long)s.overflow_disconnects,
-      (unsigned long long)s.inline_reads,
-      (unsigned long long)s.inline_fallbacks,
-      (unsigned long long)s.inline_skipped);
-  return buf;
+  const ServerStats s = stats();
+  std::string out = "shards=" + std::to_string(num_shards()) + "\n";
+  ForEachServerStat(
+      [&out](const char* name, uint64_t v) {
+        out.append(name).append("=").append(std::to_string(v)).append("\n");
+      },
+      s);
+  return out;
 }
 
 void Server::AcceptLoop() {

@@ -90,40 +90,61 @@ struct ServerOptions {
   size_t max_scan_bytes = 4u << 20;
 };
 
-// Monotonic counters; sampled via GetProperty("server.stats") or the
-// INFO opcode's property passthrough.  Snapshot of the server-internal
-// relaxed atomics — counters are individually, not mutually, consistent.
+// Serving-layer counters, one per line; ServerStats, the server's relaxed
+// atomics, Server::stats() and StatsString() all derive from this list.
+#define IAMDB_SERVER_STATS(X)                                             \
+  X(connections_accepted)                                                 \
+  X(connections_active)                                                   \
+  X(requests)                                                             \
+  X(puts)                                                                 \
+  X(gets)                                                                 \
+  X(deletes)                                                              \
+  X(writes)                                                               \
+  X(scans)                                                                \
+  X(infos)                                                                \
+  X(pings)                                                                \
+  X(mgets)                                                                \
+  X(mget_keys)                                                            \
+  X(malformed_frames)                                                     \
+  X(bytes_received)                                                       \
+  X(bytes_sent)                                                           \
+  /* Reactor observability. */                                            \
+  X(accept_errors)        /* accept() failures (EMFILE backoff &c) */     \
+  X(loop_iterations)      /* epoll_wait returns, summed over shards */    \
+  X(writev_calls)                                                         \
+  X(responses_written)    /* frames fully flushed to a socket */          \
+  X(output_buffer_hwm)    /* max buffered response bytes seen */          \
+  X(backpressure_stalls)  /* reads paused on the soft limit */            \
+  X(overflow_disconnects) /* connections dropped at the hard limit */     \
+  /* Inline (reactor) reads.  Each GET/MGET the reactor may answer is */  \
+  /* answered inline, tried inline and handed to the pool (Incomplete), */ \
+  /* or sent to the pool because the connection's hit-ratio gate said  */ \
+  /* no.                                                               */ \
+  X(inline_reads)                                                         \
+  X(inline_fallbacks)                                                     \
+  X(inline_skipped)
+
+#define IAMDB_SERVER_STAT_MEMBER(field) uint64_t field = 0;
+
+// Monotonic counters (connections_active and output_buffer_hwm are gauges);
+// sampled via GetProperty("server.stats") or the INFO opcode's property
+// passthrough.  Snapshot of the server-internal relaxed atomics — counters
+// are individually, not mutually, consistent.
 struct ServerStats {
-  uint64_t connections_accepted = 0;
-  uint64_t connections_active = 0;
-  uint64_t requests = 0;
-  uint64_t puts = 0;
-  uint64_t gets = 0;
-  uint64_t deletes = 0;
-  uint64_t writes = 0;
-  uint64_t scans = 0;
-  uint64_t infos = 0;
-  uint64_t pings = 0;
-  uint64_t mgets = 0;
-  uint64_t mget_keys = 0;
-  uint64_t malformed_frames = 0;
-  uint64_t bytes_received = 0;
-  uint64_t bytes_sent = 0;
-  // Reactor observability.
-  uint64_t accept_errors = 0;        // accept() failures (EMFILE backoff &c)
-  uint64_t loop_iterations = 0;      // epoll_wait returns, summed over shards
-  uint64_t writev_calls = 0;
-  uint64_t responses_written = 0;    // frames fully flushed to a socket
-  uint64_t output_buffer_hwm = 0;    // max buffered response bytes seen
-  uint64_t backpressure_stalls = 0;  // reads paused on the soft limit
-  uint64_t overflow_disconnects = 0; // connections dropped at the hard limit
-  // Inline (reactor) reads.  Each GET/MGET the reactor may answer is one of:
-  // answered inline, tried inline and handed to the pool (Incomplete), or
-  // sent to the pool because the connection's hit-ratio gate said no.
-  uint64_t inline_reads = 0;
-  uint64_t inline_fallbacks = 0;
-  uint64_t inline_skipped = 0;
+  IAMDB_SERVER_STATS(IAMDB_SERVER_STAT_MEMBER)
 };
+
+#undef IAMDB_SERVER_STAT_MEMBER
+
+#define IAMDB_SERVER_STAT_VISIT(field) f(#field, s.field...);
+
+// Calls f(name, s.<field>...) for every server counter, in list order.
+template <typename F, typename... Stats>
+void ForEachServerStat(F&& f, Stats&... s) {
+  IAMDB_SERVER_STATS(IAMDB_SERVER_STAT_VISIT)
+}
+
+#undef IAMDB_SERVER_STAT_VISIT
 
 class Server {
  public:
@@ -152,7 +173,8 @@ class Server {
 
   ServerStats stats() const;
 
-  // Textual counters summary (the "server.stats" property body).
+  // The "server.stats" property body: shards=N, then one name=value line
+  // per counter.
   std::string StatsString() const;
 
   int num_shards() const { return static_cast<int>(shards_.size()); }

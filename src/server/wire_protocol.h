@@ -149,16 +149,16 @@ bool DecodeMultiGetResponse(Slice payload,
                             std::vector<MultiGetEntry>* entries);
 
 // --- DbStats serialization (INFO opcode) ----------------------------------
-// Tag-prefixed so fields can be added without breaking old clients; unknown
-// tags are skipped by length.
-//
-// kMaxDbStatsTag is the highest tag the codec emits (static_assert'd
-// against the private StatsTag enum in wire_protocol.cc).  Bump it when
-// adding a field, and extend tests/db_stats_test.cc — that test walks
-// every tag in [1, kMaxDbStatsTag] and fails on any it does not cover, so
-// a new field cannot silently skip the codec, the aggregation operator, or
-// the tests.
-constexpr uint32_t kMaxDbStatsTag = 52;
+// Tag-prefixed so metrics can be added without breaking old clients;
+// unknown tags are skipped by length.  Tags, emission order and the
+// omit-when-zero groups all come from IAMDB_DB_STATS (core/db_stats.h).
+constexpr uint32_t kMaxDbStatsTag = [] {
+  uint32_t max_tag = 0;
+  ForEachDbStat([&max_tag](const StatInfo& info) {
+    if (info.tag > max_tag) max_tag = info.tag;
+  });
+  return max_tag;
+}();
 void EncodeDbStats(const DbStats& stats, std::string* dst);
 bool DecodeDbStats(Slice payload, DbStats* stats);
 

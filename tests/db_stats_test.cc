@@ -1,15 +1,15 @@
-// DbStats aggregation (operator+=) and wire-codec completeness.
-//
-// The guard rail here is tag-driven: both tests below walk every wire tag
-// in [1, wire::kMaxDbStatsTag] through a switch with ADD_FAILURE in the
-// default branch.  Adding a DbStats field therefore cannot compile-and-pass
-// silently — the new tag trips the default until the codec, the
-// aggregation operator, and these tests all handle it.
+// DbStats: the metric list (core/db_stats.h), its aggregation (operator+=)
+// and its wire codec.  Every test walks the list, so a metric added to it
+// is filled, round-tripped, merged and group-checked here with no edit; the
+// golden encodings pin the bytes of the tags that existed when they were
+// captured.
 #include <gtest/gtest.h>
 
-#include <cmath>
-#include <map>
+#include <algorithm>
+#include <iterator>
+#include <set>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "core/db.h"
@@ -19,239 +19,297 @@
 namespace iamdb {
 namespace {
 
-// Every field nonzero and distinct, so a dropped field shows up as a
-// mismatch instead of a lucky 0 == 0.
-DbStats MakeStats(uint64_t base) {
+template <typename T>
+using Plain = std::remove_cvref_t<T>;
+
+// A distinct nonzero value per (tag, base): integers need multi-byte
+// varints, doubles have a fractional part, a per-level vector has two
+// levels.
+template <typename T>
+void FillValue(T* v, uint32_t tag, uint64_t base) {
+  if constexpr (kIsPerLevelStat<T>) {
+    typename T::value_type first;
+    FillValue(&first, tag, base);
+    *v = {first, first + 1};
+  } else {
+    *v = static_cast<T>(base + tag * 1001);
+    if constexpr (std::is_floating_point_v<T>) *v += 0.25;
+  }
+}
+
+DbStats Filled(uint64_t base) {
   DbStats s;
-  s.total_write_amp = 2.0 + base;
-  s.level_write_amp = {1.5 + base, 2.5 + base};
-  s.level_bytes = {1000 + base, 2000 + base};
-  s.level_node_counts = {static_cast<int>(3 + base),
-                         static_cast<int>(5 + base)};
-  s.user_bytes = 10000 + base;
-  s.space_used_bytes = 20000 + base;
-  s.cache_usage = 300 + base;
-  s.cache_hits = 40 + base;
-  s.cache_misses = 50 + base;
-  s.mixed_level = static_cast<int>(2 + base % 3);
-  s.mixed_level_k = static_cast<int>(1 + base % 4);
-  s.pending_debt_bytes = 600 + base;
-  s.stall_micros = 700 + base;
-  s.io.bytes_written = 800 + base;
-  s.io.bytes_read = 900 + base;
-  s.io.write_ops = 11 + base;
-  s.io.read_ops = 12 + base;
-  s.io.fsyncs = 13 + base;
-  s.flush_queue_depth = 14 + base;
-  s.compact_queue_depth = 15 + base;
-  s.subcompactions_run = 16 + base;
-  s.rate_limiter_wait_micros = 17 + base;
-  s.server_loop_iterations = 18 + base;
-  s.server_writev_calls = 19 + base;
-  s.server_responses_written = 21 + base;
-  s.server_output_buffer_hwm = 22 + base;
-  s.server_backpressure_stalls = 23 + base;
-  s.server_accept_errors = 24 + base;
-  s.pacer_rate_bytes_per_sec = 25 + base;
-  s.pacer_ingest_bytes_per_sec = 26 + base;
-  s.pacer_retunes = 27 + base;
-  s.rate_limiter_paced_wall_micros = 28 + base;
-  s.compress_input_bytes = 29 + base;
-  s.compress_stored_bytes = 31 + base;
-  s.compress_columnar_blocks = 32 + base;
-  s.compress_lz_blocks = 33 + base;
-  s.compress_raw_fallback_blocks = 34 + base;
-  s.decompressed_blocks = 35 + base;
-  s.decompress_micros = 36 + base;
-  s.compressed_cache_usage = 37 + base;
-  s.compressed_cache_hits = 38 + base;
-  s.compressed_cache_misses = 39 + base;
-  s.arbiter_budget_bytes = 41 + base;
-  s.arbiter_write_bytes = 42 + base;
-  s.arbiter_read_bytes = 43 + base;
-  s.arbiter_retunes = 44 + base;
-  s.arbiter_shifts = 45 + base;
-  s.mixed_level_retunes = 46 + base;
-  s.multiget_batches = 47 + base;
-  s.multiget_keys = 48 + base;
-  s.multiget_coalesced_reads = 49 + base;
-  s.multiget_coalesced_blocks = 51 + base;
+  ForEachDbStat(
+      [base](const StatInfo& info, auto& v) { FillValue(&v, info.tag, base); },
+      s);
   return s;
 }
 
-// Walks the tag/len/bytes stream of an encoded DbStats.
-std::map<uint32_t, std::string> TagsOf(const std::string& encoded) {
-  std::map<uint32_t, std::string> tags;
+// `s` with every metric of `group` reset to zero.
+DbStats ZeroGroup(DbStats s, StatGroup group) {
+  ForEachDbStat(
+      [group](const StatInfo& info, auto& v) {
+        if (info.group == group) v = Plain<decltype(v)>{};
+      },
+      s);
+  return s;
+}
+
+std::vector<StatInfo> List() {
+  std::vector<StatInfo> list;
+  ForEachDbStat([&list](const StatInfo& info) { list.push_back(info); });
+  return list;
+}
+
+// Walks the tag/len/bytes stream of an encoded DbStats, in order.
+std::vector<std::pair<uint32_t, std::string>> FieldsOf(
+    const std::string& encoded) {
+  std::vector<std::pair<uint32_t, std::string>> fields;
   Slice in(encoded);
   while (!in.empty()) {
     uint32_t tag = 0, len = 0;
     EXPECT_TRUE(GetVarint32(&in, &tag));
     EXPECT_TRUE(GetVarint32(&in, &len));
     EXPECT_LE(len, in.size());
-    tags[tag] = std::string(in.data(), len);
+    fields.emplace_back(tag, std::string(in.data(), len));
     in.remove_prefix(len);
   }
+  return fields;
+}
+
+std::set<uint32_t> TagsOf(const std::string& encoded) {
+  std::set<uint32_t> tags;
+  for (const auto& field : FieldsOf(encoded)) tags.insert(field.first);
   return tags;
 }
 
-TEST(DbStatsCodecTest, EveryTagEmittedAndNoStrays) {
+std::string Encode(const DbStats& s) {
   std::string encoded;
-  wire::EncodeDbStats(MakeStats(1), &encoded);
-  std::map<uint32_t, std::string> tags = TagsOf(encoded);
-  for (uint32_t tag = 1; tag <= wire::kMaxDbStatsTag; tag++) {
-    EXPECT_EQ(tags.count(tag), 1u) << "tag " << tag << " not emitted";
-  }
-  for (const auto& [tag, bytes] : tags) {
-    EXPECT_GE(tag, 1u);
-    EXPECT_LE(tag, wire::kMaxDbStatsTag) << "unknown tag " << tag;
-  }
+  wire::EncodeDbStats(s, &encoded);
+  return encoded;
 }
 
-TEST(DbStatsCodecTest, Roundtrip) {
-  DbStats in = MakeStats(7);
-  std::string encoded;
-  wire::EncodeDbStats(in, &encoded);
+TEST(DbStatsListTest, TagsAndNamesAreUnique) {
+  std::set<uint32_t> tags;
+  std::set<std::string> names;
+  for (const StatInfo& info : List()) {
+    EXPECT_GE(info.tag, 1u) << info.name;
+    EXPECT_TRUE(tags.insert(info.tag).second) << "tag " << info.tag;
+    EXPECT_TRUE(names.insert(info.name).second) << info.name;
+  }
+  EXPECT_EQ(wire::kMaxDbStatsTag, *tags.rbegin());
+}
+
+TEST(DbStatsCodecTest, EveryMetricEmittedInListOrder) {
+  std::vector<uint32_t> expect;
+  for (const StatInfo& info : List()) expect.push_back(info.tag);
+  std::vector<uint32_t> emitted;
+  for (const auto& field : FieldsOf(Encode(Filled(1)))) {
+    emitted.push_back(field.first);
+  }
+  EXPECT_EQ(expect, emitted);
+}
+
+TEST(DbStatsCodecTest, EveryMetricRoundTrips) {
+  const DbStats in = Filled(7);
   DbStats out;
-  ASSERT_TRUE(wire::DecodeDbStats(encoded, &out));
-
-  EXPECT_DOUBLE_EQ(out.total_write_amp, in.total_write_amp);
-  ASSERT_EQ(out.level_write_amp.size(), in.level_write_amp.size());
-  for (size_t i = 0; i < in.level_write_amp.size(); i++) {
-    EXPECT_DOUBLE_EQ(out.level_write_amp[i], in.level_write_amp[i]);
-  }
-  EXPECT_EQ(out.level_bytes, in.level_bytes);
-  EXPECT_EQ(out.level_node_counts, in.level_node_counts);
-  EXPECT_EQ(out.user_bytes, in.user_bytes);
-  EXPECT_EQ(out.space_used_bytes, in.space_used_bytes);
-  EXPECT_EQ(out.cache_usage, in.cache_usage);
-  EXPECT_EQ(out.cache_hits, in.cache_hits);
-  EXPECT_EQ(out.cache_misses, in.cache_misses);
-  EXPECT_EQ(out.mixed_level, in.mixed_level);
-  EXPECT_EQ(out.mixed_level_k, in.mixed_level_k);
-  EXPECT_EQ(out.pending_debt_bytes, in.pending_debt_bytes);
-  EXPECT_EQ(out.stall_micros, in.stall_micros);
-  EXPECT_EQ(out.io.bytes_written, in.io.bytes_written);
-  EXPECT_EQ(out.io.bytes_read, in.io.bytes_read);
-  EXPECT_EQ(out.io.write_ops, in.io.write_ops);
-  EXPECT_EQ(out.io.read_ops, in.io.read_ops);
-  EXPECT_EQ(out.io.fsyncs, in.io.fsyncs);
-  EXPECT_EQ(out.flush_queue_depth, in.flush_queue_depth);
-  EXPECT_EQ(out.compact_queue_depth, in.compact_queue_depth);
-  EXPECT_EQ(out.subcompactions_run, in.subcompactions_run);
-  EXPECT_EQ(out.rate_limiter_wait_micros, in.rate_limiter_wait_micros);
-  EXPECT_EQ(out.server_loop_iterations, in.server_loop_iterations);
-  EXPECT_EQ(out.server_writev_calls, in.server_writev_calls);
-  EXPECT_EQ(out.server_responses_written, in.server_responses_written);
-  EXPECT_EQ(out.server_output_buffer_hwm, in.server_output_buffer_hwm);
-  EXPECT_EQ(out.server_backpressure_stalls, in.server_backpressure_stalls);
-  EXPECT_EQ(out.server_accept_errors, in.server_accept_errors);
-  EXPECT_EQ(out.pacer_rate_bytes_per_sec, in.pacer_rate_bytes_per_sec);
-  EXPECT_EQ(out.pacer_ingest_bytes_per_sec, in.pacer_ingest_bytes_per_sec);
-  EXPECT_EQ(out.pacer_retunes, in.pacer_retunes);
-  EXPECT_EQ(out.rate_limiter_paced_wall_micros,
-            in.rate_limiter_paced_wall_micros);
-  EXPECT_EQ(out.compress_input_bytes, in.compress_input_bytes);
-  EXPECT_EQ(out.compress_stored_bytes, in.compress_stored_bytes);
-  EXPECT_EQ(out.compress_columnar_blocks, in.compress_columnar_blocks);
-  EXPECT_EQ(out.compress_lz_blocks, in.compress_lz_blocks);
-  EXPECT_EQ(out.compress_raw_fallback_blocks, in.compress_raw_fallback_blocks);
-  EXPECT_EQ(out.decompressed_blocks, in.decompressed_blocks);
-  EXPECT_EQ(out.decompress_micros, in.decompress_micros);
-  EXPECT_EQ(out.compressed_cache_usage, in.compressed_cache_usage);
-  EXPECT_EQ(out.compressed_cache_hits, in.compressed_cache_hits);
-  EXPECT_EQ(out.compressed_cache_misses, in.compressed_cache_misses);
-  EXPECT_EQ(out.arbiter_budget_bytes, in.arbiter_budget_bytes);
-  EXPECT_EQ(out.arbiter_write_bytes, in.arbiter_write_bytes);
-  EXPECT_EQ(out.arbiter_read_bytes, in.arbiter_read_bytes);
-  EXPECT_EQ(out.arbiter_retunes, in.arbiter_retunes);
-  EXPECT_EQ(out.arbiter_shifts, in.arbiter_shifts);
-  EXPECT_EQ(out.mixed_level_retunes, in.mixed_level_retunes);
-  EXPECT_EQ(out.multiget_batches, in.multiget_batches);
-  EXPECT_EQ(out.multiget_keys, in.multiget_keys);
-  EXPECT_EQ(out.multiget_coalesced_reads, in.multiget_coalesced_reads);
-  EXPECT_EQ(out.multiget_coalesced_blocks, in.multiget_coalesced_blocks);
+  ASSERT_TRUE(wire::DecodeDbStats(Encode(in), &out));
+  ForEachDbStat(
+      [](const StatInfo& info, const auto& sent, const auto& got) {
+        EXPECT_NE(sent, Plain<decltype(sent)>{}) << info.name;
+        EXPECT_EQ(sent, got) << info.name;
+      },
+      in, out);
 }
 
-// A compression-off snapshot must keep its historical layout: the tags are
-// an omit-when-zero group, so old clients never see them unless a codec or
-// the compressed cache actually engaged.
-TEST(DbStatsCodecTest, CompressionTagsOmittedWhenIdle) {
-  DbStats s = MakeStats(1);
-  s.compress_input_bytes = 0;
-  s.compress_stored_bytes = 0;
-  s.compress_columnar_blocks = 0;
-  s.compress_lz_blocks = 0;
-  s.compress_raw_fallback_blocks = 0;
-  s.decompressed_blocks = 0;
-  s.decompress_micros = 0;
-  s.compressed_cache_usage = 0;
-  s.compressed_cache_hits = 0;
-  s.compressed_cache_misses = 0;
-  std::string encoded;
-  wire::EncodeDbStats(s, &encoded);
-  std::map<uint32_t, std::string> tags = TagsOf(encoded);
-  for (uint32_t tag = 33; tag <= 42; tag++) {
-    EXPECT_EQ(tags.count(tag), 0u) << "idle compression tag " << tag;
-  }
-  // A single nonzero member pulls the whole group in.
-  s.decompressed_blocks = 5;
-  encoded.clear();
-  wire::EncodeDbStats(s, &encoded);
-  tags = TagsOf(encoded);
-  for (uint32_t tag = 33; tag <= 42; tag++) {
-    EXPECT_EQ(tags.count(tag), 1u) << "active compression tag " << tag;
+// Each non-core group is left out while all of its metrics are zero, and a
+// single nonzero metric pulls the whole group in; kCore is always sent.
+TEST(DbStatsCodecTest, GroupsOmittedOnlyWhenAllZero) {
+  const std::vector<StatInfo> list = List();
+  for (int g = 0; g < kNumStatGroups; g++) {
+    const StatGroup group = static_cast<StatGroup>(g);
+    SCOPED_TRACE("group " + std::to_string(g));
+    std::set<uint32_t> members, others;
+    for (const StatInfo& info : list) {
+      (info.group == group ? members : others).insert(info.tag);
+    }
+    const DbStats idle = ZeroGroup(Filled(1), group);
+    const std::set<uint32_t> idle_tags = TagsOf(Encode(idle));
+    for (uint32_t tag : others) EXPECT_EQ(1u, idle_tags.count(tag)) << tag;
+    for (uint32_t tag : members) {
+      EXPECT_EQ(group == StatGroup::kCore ? 1u : 0u, idle_tags.count(tag))
+          << tag;
+    }
+    for (uint32_t one : members) {
+      DbStats s = idle;
+      ForEachDbStat(
+          [one](const StatInfo& info, auto& v) {
+            if (info.tag == one) FillValue(&v, info.tag, 3);
+          },
+          s);
+      const std::set<uint32_t> tags = TagsOf(Encode(s));
+      for (uint32_t tag : members) {
+        EXPECT_EQ(1u, tags.count(tag)) << "tag " << tag << " with " << one;
+      }
+    }
   }
 }
 
-// Same layout guard for the arbiter group: fixed-sizing snapshots (no
-// pooled budget) must not grow new tags.
-TEST(DbStatsCodecTest, ArbiterTagsOmittedWhenOff) {
-  DbStats s = MakeStats(1);
-  s.arbiter_budget_bytes = 0;
-  s.arbiter_write_bytes = 0;
-  s.arbiter_read_bytes = 0;
-  s.arbiter_retunes = 0;
-  s.arbiter_shifts = 0;
-  s.mixed_level_retunes = 0;
-  std::string encoded;
-  wire::EncodeDbStats(s, &encoded);
-  std::map<uint32_t, std::string> tags = TagsOf(encoded);
-  for (uint32_t tag = 43; tag <= 48; tag++) {
-    EXPECT_EQ(tags.count(tag), 0u) << "idle arbiter tag " << tag;
+// Hex of EncodeDbStats as captured from the hand-written encoder this list
+// replaced: a default DbStats, Filled(0), then Filled(0) with each group
+// zeroed alone, in StatGroup order.
+constexpr uint32_t kGoldenMaxTag = 52;
+const std::pair<const char*, const char*> kGolden[] = {
+    {"default",
+     "0101000201000301000401000501000601000701000801000901000a08000000"
+     "00000000000b000c000d000e01000f0100100100110100120100130100140100"
+     "150100160100"},
+    {"full",
+     "0102e9070202d20f0302bb170402a41f05028d270602f62e0702df360802c83e"
+     "0902b1460a0800000000208dc3400b04835684560c04ec5ded5d0d1000000000"
+     "a06ac94000000000206bc9400e02be6d0f02a7751002907d1103f984011203e2"
+     "8c011303cb94011403b49c0115039da401160386ac011d03e5e2011e03ceea01"
+     "1f03b7f2012003a0fa011703efb3011803d8bb011903c1c3011a03aacb011b03"
+     "93d3011c03fcda0121038982022203f289022303db91022403c499022503ada1"
+     "02260396a9022703ffb0022803e8b8022903d1c0022a03bac8022b03a3d0022c"
+     "038cd8022d03f5df022e03dee7022f03c7ef023003b0f702310399ff02320382"
+     "87033303eb8e033403d49603"},
+    {"core",
+     "0101000201000301000401000501000601000701000801000901000a08000000"
+     "00000000000b000c000d000e01000f0100100100110100120100130100140100"
+     "1501001601001d03e5e2011e03ceea011f03b7f2012003a0fa011703efb30118"
+     "03d8bb011903c1c3011a03aacb011b0393d3011c03fcda0121038982022203f2"
+     "89022303db91022403c499022503ada102260396a9022703ffb0022803e8b802"
+     "2903d1c0022a03bac8022b03a3d0022c038cd8022d03f5df022e03dee7022f03"
+     "c7ef023003b0f702310399ff0232038287033303eb8e033403d49603"},
+    {"pacer",
+     "0102e9070202d20f0302bb170402a41f05028d270602f62e0702df360802c83e"
+     "0902b1460a0800000000208dc3400b04835684560c04ec5ded5d0d1000000000"
+     "a06ac94000000000206bc9400e02be6d0f02a7751002907d1103f984011203e2"
+     "8c011303cb94011403b49c0115039da401160386ac011703efb3011803d8bb01"
+     "1903c1c3011a03aacb011b0393d3011c03fcda0121038982022203f289022303"
+     "db91022403c499022503ada102260396a9022703ffb0022803e8b8022903d1c0"
+     "022a03bac8022b03a3d0022c038cd8022d03f5df022e03dee7022f03c7ef0230"
+     "03b0f702310399ff0232038287033303eb8e033403d49603"},
+    {"reactor",
+     "0102e9070202d20f0302bb170402a41f05028d270602f62e0702df360802c83e"
+     "0902b1460a0800000000208dc3400b04835684560c04ec5ded5d0d1000000000"
+     "a06ac94000000000206bc9400e02be6d0f02a7751002907d1103f984011203e2"
+     "8c011303cb94011403b49c0115039da401160386ac011d03e5e2011e03ceea01"
+     "1f03b7f2012003a0fa0121038982022203f289022303db91022403c499022503"
+     "ada102260396a9022703ffb0022803e8b8022903d1c0022a03bac8022b03a3d0"
+     "022c038cd8022d03f5df022e03dee7022f03c7ef023003b0f702310399ff0232"
+     "038287033303eb8e033403d49603"},
+    {"compression",
+     "0102e9070202d20f0302bb170402a41f05028d270602f62e0702df360802c83e"
+     "0902b1460a0800000000208dc3400b04835684560c04ec5ded5d0d1000000000"
+     "a06ac94000000000206bc9400e02be6d0f02a7751002907d1103f984011203e2"
+     "8c011303cb94011403b49c0115039da401160386ac011d03e5e2011e03ceea01"
+     "1f03b7f2012003a0fa011703efb3011803d8bb011903c1c3011a03aacb011b03"
+     "93d3011c03fcda012b03a3d0022c038cd8022d03f5df022e03dee7022f03c7ef"
+     "023003b0f702310399ff0232038287033303eb8e033403d49603"},
+    {"arbiter",
+     "0102e9070202d20f0302bb170402a41f05028d270602f62e0702df360802c83e"
+     "0902b1460a0800000000208dc3400b04835684560c04ec5ded5d0d1000000000"
+     "a06ac94000000000206bc9400e02be6d0f02a7751002907d1103f984011203e2"
+     "8c011303cb94011403b49c0115039da401160386ac011d03e5e2011e03ceea01"
+     "1f03b7f2012003a0fa011703efb3011803d8bb011903c1c3011a03aacb011b03"
+     "93d3011c03fcda0121038982022203f289022303db91022403c499022503ada1"
+     "02260396a9022703ffb0022803e8b8022903d1c0022a03bac802310399ff0232"
+     "038287033303eb8e033403d49603"},
+    {"multiget",
+     "0102e9070202d20f0302bb170402a41f05028d270602f62e0702df360802c83e"
+     "0902b1460a0800000000208dc3400b04835684560c04ec5ded5d0d1000000000"
+     "a06ac94000000000206bc9400e02be6d0f02a7751002907d1103f984011203e2"
+     "8c011303cb94011403b49c0115039da401160386ac011d03e5e2011e03ceea01"
+     "1f03b7f2012003a0fa011703efb3011803d8bb011903c1c3011a03aacb011b03"
+     "93d3011c03fcda0121038982022203f289022303db91022403c499022503ada1"
+     "02260396a9022703ffb0022803e8b8022903d1c0022a03bac8022b03a3d0022c"
+     "038cd8022d03f5df022e03dee7022f03c7ef023003b0f702"},
+};
+
+// The encoding of `s` restricted to the tags the goldens know, so a metric
+// added later does not change them.
+std::string GoldenHex(const DbStats& s) {
+  static const char kHex[] = "0123456789abcdef";
+  std::string frozen;
+  for (const auto& [tag, bytes] : FieldsOf(Encode(s))) {
+    if (tag > kGoldenMaxTag) continue;
+    PutVarint32(&frozen, tag);
+    PutVarint32(&frozen, static_cast<uint32_t>(bytes.size()));
+    frozen += bytes;
   }
-  // A single nonzero member (an AMT (m,k) retune without an arbiter also
-  // counts) pulls the whole group in.
-  s.mixed_level_retunes = 3;
-  encoded.clear();
-  wire::EncodeDbStats(s, &encoded);
-  tags = TagsOf(encoded);
-  for (uint32_t tag = 43; tag <= 48; tag++) {
-    EXPECT_EQ(tags.count(tag), 1u) << "active arbiter tag " << tag;
+  std::string hex;
+  for (unsigned char c : frozen) {
+    hex += kHex[c >> 4];
+    hex += kHex[c & 15];
+  }
+  return hex;
+}
+
+TEST(DbStatsCodecTest, MatchesGoldenEncodings) {
+  std::vector<DbStats> inputs = {DbStats(), Filled(0)};
+  for (int g = 0; g < kNumStatGroups; g++) {
+    inputs.push_back(ZeroGroup(Filled(0), static_cast<StatGroup>(g)));
+  }
+  ASSERT_EQ(std::size(kGolden), inputs.size());
+  for (size_t i = 0; i < inputs.size(); i++) {
+    EXPECT_EQ(kGolden[i].second, GoldenHex(inputs[i])) << kGolden[i].first;
   }
 }
 
-// Same layout guard for the multiget group: a Get-only snapshot must not
-// grow new tags until the first batched read.
-TEST(DbStatsCodecTest, MultiGetTagsOmittedWhenIdle) {
-  DbStats s = MakeStats(1);
-  s.multiget_batches = 0;
-  s.multiget_keys = 0;
-  s.multiget_coalesced_reads = 0;
-  s.multiget_coalesced_blocks = 0;
-  std::string encoded;
-  wire::EncodeDbStats(s, &encoded);
-  std::map<uint32_t, std::string> tags = TagsOf(encoded);
-  for (uint32_t tag = 49; tag <= 52; tag++) {
-    EXPECT_EQ(tags.count(tag), 0u) << "idle multiget tag " << tag;
+bool Decodes(const std::string& payload) {
+  DbStats out;
+  return wire::DecodeDbStats(payload, &out);
+}
+
+std::string Field(uint32_t tag, const std::string& bytes) {
+  std::string field;
+  PutVarint32(&field, tag);
+  PutVarint32(&field, static_cast<uint32_t>(bytes.size()));
+  return field + bytes;
+}
+
+// A prefix decodes only if it ends on a field boundary.
+TEST(DbStatsCodecTest, EveryTruncationCuttingAFieldFails) {
+  const std::string full = Encode(Filled(1));
+  std::set<size_t> boundaries = {0};
+  size_t end = 0;
+  for (const auto& [tag, bytes] : FieldsOf(full)) {
+    end += Field(tag, bytes).size();
+    boundaries.insert(end);
   }
-  // A single nonzero member pulls the whole group in.
-  s.multiget_batches = 2;
-  encoded.clear();
-  wire::EncodeDbStats(s, &encoded);
-  tags = TagsOf(encoded);
-  for (uint32_t tag = 49; tag <= 52; tag++) {
-    EXPECT_EQ(tags.count(tag), 1u) << "active multiget tag " << tag;
+  ASSERT_EQ(full.size(), end);
+  for (size_t n = 0; n < full.size(); n++) {
+    EXPECT_EQ(boundaries.count(n) == 1, Decodes(full.substr(0, n))) << n;
   }
+}
+
+TEST(DbStatsCodecTest, MalformedFieldsFail) {
+  const uint32_t user_bytes = 1, total_write_amp = 10, level_bytes = 11,
+                 level_write_amp = 13;
+  // A length past the end of the payload.
+  std::string past;
+  PutVarint32(&past, user_bytes);
+  PutVarint32(&past, 5);
+  EXPECT_FALSE(Decodes(past + "\x01\x02"));
+  // Truncated varints: in a scalar, in a per-level field, in the header.
+  EXPECT_FALSE(Decodes(Field(user_bytes, "\x80")));
+  EXPECT_FALSE(Decodes(Field(level_bytes, std::string("\x05\x80", 2))));
+  EXPECT_FALSE(Decodes(std::string("\x81", 1)));
+  // A double takes exactly 8 bytes; a per-level double vector, multiples.
+  for (size_t len : {0, 1, 7, 9, 16}) {
+    EXPECT_FALSE(Decodes(Field(total_write_amp, std::string(len, '\0'))))
+        << len;
+  }
+  EXPECT_TRUE(Decodes(Field(total_write_amp, std::string(8, '\0'))));
+  for (size_t len : {1, 7, 12, 17}) {
+    EXPECT_FALSE(Decodes(Field(level_write_amp, std::string(len, '\0'))))
+        << len;
+  }
+  EXPECT_TRUE(Decodes(Field(level_write_amp, std::string(16, '\0'))));
+  // An unknown tag is skipped by length.
+  EXPECT_TRUE(Decodes(Field(wire::kMaxDbStatsTag + 1, "xyz")));
 }
 
 // Expected combination of two amp ratios, weighted by user bytes.
@@ -262,243 +320,57 @@ double WeightedAmp(double a_amp, uint64_t a_user, double b_amp,
          static_cast<double>(a_user + b_user);
 }
 
-TEST(DbStatsAggregationTest, EveryTagHasAggregationSemantics) {
-  // Different vector lengths on purpose: the pad-and-add path must not
-  // drop rhs's extra levels.
-  DbStats a = MakeStats(1);
-  DbStats b = MakeStats(100);
-  b.level_bytes.push_back(4242);
-  b.level_node_counts.push_back(17);
-  b.level_write_amp.push_back(3.25);
+// What StatMerge `merge` must make of one pair of scalar values.
+template <typename T>
+T Expected(StatMerge merge, T a, T b, uint64_t a_user, uint64_t b_user) {
+  switch (merge) {
+    case StatMerge::kMax:
+      return std::max(a, b);
+    case StatMerge::kWeightedAmp:
+      return static_cast<T>(WeightedAmp(static_cast<double>(a), a_user,
+                                        static_cast<double>(b), b_user));
+    case StatMerge::kSum:
+    case StatMerge::kPadAdd:
+      break;
+  }
+  return a + b;
+}
 
-  DbStats sum = a;
-  sum += b;
+TEST(DbStatsAggregationTest, EveryMetricMergesByItsKind) {
+  // Different level counts on purpose: padding must keep rhs's extra level.
+  DbStats small = Filled(1);
+  DbStats big = Filled(100);
+  big.level_bytes.push_back(4242);
+  big.level_node_counts.push_back(17);
+  big.level_write_amp.push_back(3.25);
 
-  for (uint32_t tag = 1; tag <= wire::kMaxDbStatsTag; tag++) {
-    SCOPED_TRACE("tag " + std::to_string(tag));
-    switch (tag) {
-      case 1:  // user_bytes
-        EXPECT_EQ(sum.user_bytes, a.user_bytes + b.user_bytes);
-        break;
-      case 2:
-        EXPECT_EQ(sum.space_used_bytes,
-                  a.space_used_bytes + b.space_used_bytes);
-        break;
-      case 3:
-        EXPECT_EQ(sum.cache_usage, a.cache_usage + b.cache_usage);
-        break;
-      case 4:
-        EXPECT_EQ(sum.cache_hits, a.cache_hits + b.cache_hits);
-        break;
-      case 5:
-        EXPECT_EQ(sum.cache_misses, a.cache_misses + b.cache_misses);
-        break;
-      case 6:
-        EXPECT_EQ(sum.stall_micros, a.stall_micros + b.stall_micros);
-        break;
-      case 7:
-        EXPECT_EQ(sum.pending_debt_bytes,
-                  a.pending_debt_bytes + b.pending_debt_bytes);
-        break;
-      case 8:  // structural: max, not sum
-        EXPECT_EQ(sum.mixed_level, std::max(a.mixed_level, b.mixed_level));
-        break;
-      case 9:
-        EXPECT_EQ(sum.mixed_level_k,
-                  std::max(a.mixed_level_k, b.mixed_level_k));
-        break;
-      case 10:  // ratio: weighted by user_bytes
-        EXPECT_NEAR(sum.total_write_amp,
-                    WeightedAmp(a.total_write_amp, a.user_bytes,
-                                b.total_write_amp, b.user_bytes),
-                    1e-9);
-        break;
-      case 11: {
-        ASSERT_EQ(sum.level_bytes.size(), b.level_bytes.size());
-        for (size_t i = 0; i < sum.level_bytes.size(); i++) {
-          uint64_t lhs = i < a.level_bytes.size() ? a.level_bytes[i] : 0;
-          EXPECT_EQ(sum.level_bytes[i], lhs + b.level_bytes[i]);
-        }
-        break;
-      }
-      case 12: {
-        ASSERT_EQ(sum.level_node_counts.size(), b.level_node_counts.size());
-        for (size_t i = 0; i < sum.level_node_counts.size(); i++) {
-          int lhs = i < a.level_node_counts.size() ? a.level_node_counts[i]
-                                                   : 0;
-          EXPECT_EQ(sum.level_node_counts[i], lhs + b.level_node_counts[i]);
-        }
-        break;
-      }
-      case 13: {
-        ASSERT_EQ(sum.level_write_amp.size(), b.level_write_amp.size());
-        for (size_t i = 0; i < sum.level_write_amp.size(); i++) {
-          double lhs = i < a.level_write_amp.size() ? a.level_write_amp[i]
-                                                    : 0.0;
-          EXPECT_NEAR(sum.level_write_amp[i],
-                      WeightedAmp(lhs, a.user_bytes, b.level_write_amp[i],
-                                  b.user_bytes),
-                      1e-9);
-        }
-        break;
-      }
-      case 14:
-        EXPECT_EQ(sum.io.bytes_written,
-                  a.io.bytes_written + b.io.bytes_written);
-        break;
-      case 15:
-        EXPECT_EQ(sum.io.bytes_read, a.io.bytes_read + b.io.bytes_read);
-        break;
-      case 16:
-        EXPECT_EQ(sum.io.write_ops, a.io.write_ops + b.io.write_ops);
-        break;
-      case 17:
-        EXPECT_EQ(sum.io.read_ops, a.io.read_ops + b.io.read_ops);
-        break;
-      case 18:
-        EXPECT_EQ(sum.io.fsyncs, a.io.fsyncs + b.io.fsyncs);
-        break;
-      case 19:
-        EXPECT_EQ(sum.flush_queue_depth,
-                  a.flush_queue_depth + b.flush_queue_depth);
-        break;
-      case 20:
-        EXPECT_EQ(sum.compact_queue_depth,
-                  a.compact_queue_depth + b.compact_queue_depth);
-        break;
-      case 21:
-        EXPECT_EQ(sum.subcompactions_run,
-                  a.subcompactions_run + b.subcompactions_run);
-        break;
-      case 22:
-        EXPECT_EQ(sum.rate_limiter_wait_micros,
-                  a.rate_limiter_wait_micros + b.rate_limiter_wait_micros);
-        break;
-      case 23:
-        EXPECT_EQ(sum.server_loop_iterations,
-                  a.server_loop_iterations + b.server_loop_iterations);
-        break;
-      case 24:
-        EXPECT_EQ(sum.server_writev_calls,
-                  a.server_writev_calls + b.server_writev_calls);
-        break;
-      case 25:
-        EXPECT_EQ(sum.server_responses_written,
-                  a.server_responses_written + b.server_responses_written);
-        break;
-      case 26:  // high-water mark: max
-        EXPECT_EQ(sum.server_output_buffer_hwm,
-                  std::max(a.server_output_buffer_hwm,
-                           b.server_output_buffer_hwm));
-        break;
-      case 27:
-        EXPECT_EQ(sum.server_backpressure_stalls,
-                  a.server_backpressure_stalls + b.server_backpressure_stalls);
-        break;
-      case 28:
-        EXPECT_EQ(sum.server_accept_errors,
-                  a.server_accept_errors + b.server_accept_errors);
-        break;
-      case 29:  // budgets sum: the aggregate is the cluster-wide rate
-        EXPECT_EQ(sum.pacer_rate_bytes_per_sec,
-                  a.pacer_rate_bytes_per_sec + b.pacer_rate_bytes_per_sec);
-        break;
-      case 30:
-        EXPECT_EQ(sum.pacer_ingest_bytes_per_sec,
-                  a.pacer_ingest_bytes_per_sec + b.pacer_ingest_bytes_per_sec);
-        break;
-      case 31:
-        EXPECT_EQ(sum.pacer_retunes, a.pacer_retunes + b.pacer_retunes);
-        break;
-      case 32:
-        EXPECT_EQ(sum.rate_limiter_paced_wall_micros,
-                  a.rate_limiter_paced_wall_micros +
-                      b.rate_limiter_paced_wall_micros);
-        break;
-      case 33:
-        EXPECT_EQ(sum.compress_input_bytes,
-                  a.compress_input_bytes + b.compress_input_bytes);
-        break;
-      case 34:
-        EXPECT_EQ(sum.compress_stored_bytes,
-                  a.compress_stored_bytes + b.compress_stored_bytes);
-        break;
-      case 35:
-        EXPECT_EQ(sum.compress_columnar_blocks,
-                  a.compress_columnar_blocks + b.compress_columnar_blocks);
-        break;
-      case 36:
-        EXPECT_EQ(sum.compress_lz_blocks,
-                  a.compress_lz_blocks + b.compress_lz_blocks);
-        break;
-      case 37:
-        EXPECT_EQ(sum.compress_raw_fallback_blocks,
-                  a.compress_raw_fallback_blocks +
-                      b.compress_raw_fallback_blocks);
-        break;
-      case 38:
-        EXPECT_EQ(sum.decompressed_blocks,
-                  a.decompressed_blocks + b.decompressed_blocks);
-        break;
-      case 39:
-        EXPECT_EQ(sum.decompress_micros,
-                  a.decompress_micros + b.decompress_micros);
-        break;
-      case 40:  // gauge across shards: usages sum
-        EXPECT_EQ(sum.compressed_cache_usage,
-                  a.compressed_cache_usage + b.compressed_cache_usage);
-        break;
-      case 41:
-        EXPECT_EQ(sum.compressed_cache_hits,
-                  a.compressed_cache_hits + b.compressed_cache_hits);
-        break;
-      case 42:
-        EXPECT_EQ(sum.compressed_cache_misses,
-                  a.compressed_cache_misses + b.compressed_cache_misses);
-        break;
-      case 43:  // cluster-wide pool: budgets sum
-        EXPECT_EQ(sum.arbiter_budget_bytes,
-                  a.arbiter_budget_bytes + b.arbiter_budget_bytes);
-        break;
-      case 44:
-        EXPECT_EQ(sum.arbiter_write_bytes,
-                  a.arbiter_write_bytes + b.arbiter_write_bytes);
-        break;
-      case 45:
-        EXPECT_EQ(sum.arbiter_read_bytes,
-                  a.arbiter_read_bytes + b.arbiter_read_bytes);
-        break;
-      case 46:
-        EXPECT_EQ(sum.arbiter_retunes, a.arbiter_retunes + b.arbiter_retunes);
-        break;
-      case 47:
-        EXPECT_EQ(sum.arbiter_shifts, a.arbiter_shifts + b.arbiter_shifts);
-        break;
-      case 48:
-        EXPECT_EQ(sum.mixed_level_retunes,
-                  a.mixed_level_retunes + b.mixed_level_retunes);
-        break;
-      case 49:
-        EXPECT_EQ(sum.multiget_batches,
-                  a.multiget_batches + b.multiget_batches);
-        break;
-      case 50:
-        EXPECT_EQ(sum.multiget_keys, a.multiget_keys + b.multiget_keys);
-        break;
-      case 51:
-        EXPECT_EQ(sum.multiget_coalesced_reads,
-                  a.multiget_coalesced_reads + b.multiget_coalesced_reads);
-        break;
-      case 52:
-        EXPECT_EQ(sum.multiget_coalesced_blocks,
-                  a.multiget_coalesced_blocks + b.multiget_coalesced_blocks);
-        break;
-      default:
-        ADD_FAILURE() << "tag " << tag
-                      << " has no aggregation coverage — a DbStats field "
-                         "was added without extending this test and "
-                         "operator+=";
-    }
+  for (bool small_first : {true, false}) {
+    const DbStats& a = small_first ? small : big;
+    const DbStats& b = small_first ? big : small;
+    DbStats sum = a;
+    sum += b;
+    ForEachDbStat(
+        [&](const StatInfo& info, const auto& got, const auto& av,
+            const auto& bv) {
+          SCOPED_TRACE(info.name);
+          using T = Plain<decltype(got)>;
+          if constexpr (kIsPerLevelStat<T>) {
+            ASSERT_EQ(std::max(av.size(), bv.size()), got.size());
+            for (size_t i = 0; i < got.size(); i++) {
+              const typename T::value_type zero{};
+              const auto x = i < av.size() ? av[i] : zero;
+              const auto y = i < bv.size() ? bv[i] : zero;
+              EXPECT_DOUBLE_EQ(Expected(info.merge, x, y, a.user_bytes,
+                                        b.user_bytes),
+                               got[i]);
+            }
+          } else {
+            EXPECT_DOUBLE_EQ(
+                Expected(info.merge, av, bv, a.user_bytes, b.user_bytes),
+                got);
+          }
+        },
+        sum, a, b);
   }
 }
 
@@ -516,7 +388,7 @@ TEST(DbStatsAggregationTest, WeightedAmpMatchesGroundTruth) {
 }
 
 TEST(DbStatsAggregationTest, SelfAddDoublesCountersKeepsRatios) {
-  DbStats s = MakeStats(9);
+  DbStats s = Filled(9);
   const DbStats orig = s;
   s += s;
   EXPECT_EQ(s.user_bytes, 2 * orig.user_bytes);
@@ -528,7 +400,7 @@ TEST(DbStatsAggregationTest, SelfAddDoublesCountersKeepsRatios) {
 
 TEST(DbStatsAggregationTest, AddToZeroIsIdentity) {
   DbStats zero;
-  DbStats s = MakeStats(4);
+  DbStats s = Filled(4);
   zero += s;
   EXPECT_EQ(zero.user_bytes, s.user_bytes);
   EXPECT_NEAR(zero.total_write_amp, s.total_write_amp, 1e-9);

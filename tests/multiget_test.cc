@@ -18,6 +18,7 @@
 #include "env/mem_env.h"
 #include "stats/io_stats.h"
 #include "util/random.h"
+#include "util/sync_point.h"
 
 namespace iamdb {
 namespace {
@@ -567,6 +568,46 @@ TEST_P(MultiGetTest, CacheOnlyWarmMatchesFullReads) {
     EXPECT_GT(not_found, 2);
     db_->ReleaseSnapshot(full.snapshot);
   }
+}
+
+// A batch without options.snapshot is read at one read point even when a
+// version install moves the stamp mid-batch: the retry a key found nowhere
+// forces re-reads every key, not only the unresolved ones.  Here k is found
+// on the first pass and x is not; the install then writes both.
+TEST_P(MultiGetTest, RetryRereadsWholeBatchAtOneReadPoint) {
+#ifndef IAMDB_SYNC_POINTS
+  GTEST_SKIP() << "sync points compiled out (-DIAMDB_SYNC_POINTS=ON)";
+#else
+  Open();
+  ASSERT_TRUE(db_->Put(WriteOptions(), "k", "v1").ok());
+  ASSERT_TRUE(db_->FlushAll().ok());
+
+  std::atomic<bool> armed{true};
+  SyncPoint* sp = SyncPoint::Instance();
+  sp->SetCallback("DBImpl::Lookup:BeforeStampCheck", [&](void*) {
+    if (!armed.exchange(false)) return;
+    ASSERT_TRUE(db_->Put(WriteOptions(), "k", "v2").ok());
+    ASSERT_TRUE(db_->Put(WriteOptions(), "x", "x1").ok());
+    ASSERT_TRUE(db_->FlushAll().ok());
+  });
+  sp->EnableProcessing();
+  const Slice keys[] = {"k", "x"};
+  std::string values[2];
+  Status statuses[2];
+  db_->MultiGet(ReadOptions(), 2, keys, values, statuses);
+  sp->Reset();
+  ASSERT_FALSE(armed.load());
+
+  // Before both writes (v1, NotFound) or after both (v2, x1); never mixed.
+  ASSERT_TRUE(statuses[0].ok()) << statuses[0].ToString();
+  if (statuses[1].IsNotFound()) {
+    EXPECT_EQ("v1", values[0]);
+  } else {
+    ASSERT_TRUE(statuses[1].ok()) << statuses[1].ToString();
+    EXPECT_EQ("v2", values[0]);
+    EXPECT_EQ("x1", values[1]);
+  }
+#endif
 }
 
 INSTANTIATE_TEST_SUITE_P(

@@ -26,6 +26,7 @@
 #include <iostream>
 #include <sstream>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "memtable/write_batch.h"
@@ -35,70 +36,24 @@ namespace {
 
 using namespace iamdb;
 
+void PrintStat(const char* name, uint64_t v) {
+  std::printf("%s: %" PRIu64 "\n", name, v);
+}
+void PrintStat(const char* name, int v) { std::printf("%s: %d\n", name, v); }
+void PrintStat(const char* name, double v) {
+  std::printf("%s: %.3f\n", name, v);
+}
+
+// One line per metric the server sent (a group it left out is all zero),
+// then the per-level metrics as a table.
 void PrintStats(const DbStats& stats) {
-  std::printf("user_bytes:        %" PRIu64 "\n", stats.user_bytes);
-  std::printf("space_used_bytes:  %" PRIu64 "\n", stats.space_used_bytes);
-  std::printf("total_write_amp:   %.3f\n", stats.total_write_amp);
-  std::printf("cache:             %" PRIu64 "B used, %" PRIu64 " hits, %" PRIu64
-              " misses\n",
-              stats.cache_usage, stats.cache_hits, stats.cache_misses);
-  std::printf("stall_micros:      %" PRIu64 "\n", stats.stall_micros);
-  std::printf("pending_debt:      %" PRIu64 "B\n", stats.pending_debt_bytes);
-  std::printf("bg queues:         %" PRIu64 " flush / %" PRIu64
-              " compaction\n",
-              stats.flush_queue_depth, stats.compact_queue_depth);
-  std::printf("subcompactions:    %" PRIu64 "\n", stats.subcompactions_run);
-  std::printf("rate_limit_wait:   %" PRIu64 "us threads / %" PRIu64
-              "us wall\n",
-              stats.rate_limiter_wait_micros,
-              stats.rate_limiter_paced_wall_micros);
-  if (stats.pacer_rate_bytes_per_sec > 0) {
-    std::printf("pacer:             %" PRIu64 "B/s budget, %" PRIu64
-                "B/s ingest, %" PRIu64 " retunes\n",
-                stats.pacer_rate_bytes_per_sec,
-                stats.pacer_ingest_bytes_per_sec, stats.pacer_retunes);
-  }
-  if (stats.compress_input_bytes > 0) {
-    double ratio = stats.compress_stored_bytes > 0
-                       ? static_cast<double>(stats.compress_input_bytes) /
-                             static_cast<double>(stats.compress_stored_bytes)
-                       : 0.0;
-    std::printf("compression:       %" PRIu64 "B -> %" PRIu64
-                "B (%.2fx), blocks: %" PRIu64 " columnar / %" PRIu64
-                " lz / %" PRIu64 " raw\n",
-                stats.compress_input_bytes, stats.compress_stored_bytes, ratio,
-                stats.compress_columnar_blocks, stats.compress_lz_blocks,
-                stats.compress_raw_fallback_blocks);
-  }
-  if (stats.decompressed_blocks > 0) {
-    std::printf("decompress:        %" PRIu64 " blocks, %" PRIu64 "us\n",
-                stats.decompressed_blocks, stats.decompress_micros);
-  }
-  if (stats.compressed_cache_usage > 0 || stats.compressed_cache_hits > 0 ||
-      stats.compressed_cache_misses > 0) {
-    std::printf("compressed cache:  %" PRIu64 "B used, %" PRIu64
-                " hits, %" PRIu64 " misses\n",
-                stats.compressed_cache_usage, stats.compressed_cache_hits,
-                stats.compressed_cache_misses);
-  }
-  if (stats.arbiter_budget_bytes > 0) {
-    std::printf("memory arbiter:    %" PRIu64 "B budget = %" PRIu64
-                "B write + %" PRIu64 "B read, %" PRIu64 " retunes, %" PRIu64
-                " shifts\n",
-                stats.arbiter_budget_bytes, stats.arbiter_write_bytes,
-                stats.arbiter_read_bytes, stats.arbiter_retunes,
-                stats.arbiter_shifts);
-  }
-  if (stats.mixed_level > 0) {
-    std::printf("mixed level:       m=%d k=%d", stats.mixed_level,
-                stats.mixed_level_k);
-    if (stats.mixed_level_retunes > 0) {
-      std::printf(" (%" PRIu64 " retunes)", stats.mixed_level_retunes);
+  ForEachSentDbStat(stats, [](const StatInfo& info, const auto& v) {
+    if constexpr (!kIsPerLevelStat<std::remove_cvref_t<decltype(v)>>) {
+      PrintStat(info.name, v);
     }
-    std::printf("\n");
-  }
+  });
   for (size_t i = 0; i < stats.level_bytes.size(); i++) {
-    std::printf("level %zu:           %" PRIu64 "B in %d nodes", i + 1,
+    std::printf("level %zu: %" PRIu64 "B in %d nodes", i + 1,
                 stats.level_bytes[i],
                 i < stats.level_node_counts.size()
                     ? stats.level_node_counts[i]
@@ -107,41 +62,6 @@ void PrintStats(const DbStats& stats) {
       std::printf(", write_amp %.3f", stats.level_write_amp[i]);
     }
     std::printf("\n");
-  }
-  std::printf("io:                %" PRIu64 "B written / %" PRIu64
-              "B read / %" PRIu64 " fsyncs\n",
-              stats.io.bytes_written, stats.io.bytes_read, stats.io.fsyncs);
-  // Batched-read gauges; all-zero (omitted on the wire) means no MGET /
-  // MultiGet traffic yet.
-  if (stats.multiget_batches > 0) {
-    const double per_batch =
-        static_cast<double>(stats.multiget_keys) /
-        static_cast<double>(stats.multiget_batches);
-    std::printf("multiget:          %" PRIu64 " batches, %" PRIu64
-                " keys (%.1f/batch)\n",
-                stats.multiget_batches, stats.multiget_keys, per_batch);
-    std::printf("multiget:          %" PRIu64 " coalesced reads covering %"
-                PRIu64 " blocks\n",
-                stats.multiget_coalesced_reads,
-                stats.multiget_coalesced_blocks);
-  }
-  // Serving-layer reactor counters; only the server's INFO path fills
-  // these, and all-zero means an old server (or nothing observed yet).
-  if (stats.server_loop_iterations > 0 || stats.server_writev_calls > 0 ||
-      stats.server_backpressure_stalls > 0 || stats.server_accept_errors > 0) {
-    const double per_writev =
-        stats.server_writev_calls > 0
-            ? static_cast<double>(stats.server_responses_written) /
-                  static_cast<double>(stats.server_writev_calls)
-            : 0.0;
-    std::printf("reactor:           %" PRIu64 " loops, %" PRIu64
-                " writev (%.2f resp/writev)\n",
-                stats.server_loop_iterations, stats.server_writev_calls,
-                per_writev);
-    std::printf("reactor:           out_hwm %" PRIu64 "B, %" PRIu64
-                " stalls, %" PRIu64 " accept_errors\n",
-                stats.server_output_buffer_hwm,
-                stats.server_backpressure_stalls, stats.server_accept_errors);
   }
 }
 
