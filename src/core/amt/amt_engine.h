@@ -69,7 +69,6 @@ class AmtEngine final : public TreeEngine {
   TreeVersionPtr current_version() const override {
     return current_.Snapshot();
   }
-  uint64_t version_stamp() const override { return current_.stamp(); }
   Status CheckInvariants(bool quiescent) const override;
 
   // Current mixed-level decision (recomputed when the version changes).

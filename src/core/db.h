@@ -53,8 +53,11 @@ class DB {
   virtual Status Delete(const WriteOptions& options, const Slice& key);
   virtual Status Write(const WriteOptions& options, WriteBatch* updates) = 0;
 
-  // NotFound if the key is absent (or deleted) at the read point.
-  // Incomplete if options.cache_only and the answer needs the device.
+  // NotFound if the key is absent (or deleted) at the read point:
+  // options.snapshot's, else the committed state when the read starts.
+  // One pass, never retried: compaction keeps what an in-flight read can
+  // see.  Incomplete if options.cache_only and the answer needs the
+  // device.
   virtual Status Get(const ReadOptions& options, const Slice& key,
                      std::string* value) = 0;
 

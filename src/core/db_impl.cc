@@ -17,8 +17,7 @@
 
 namespace iamdb {
 
-ReadView::ReadView(MemTable* m, MemTable* i, SequenceNumber seq)
-    : mem(m), imm(i), last_sequence(seq) {
+ReadView::ReadView(MemTable* m, MemTable* i) : mem(m), imm(i) {
   mem->Ref();
   if (imm != nullptr) imm->Ref();
 }
@@ -487,8 +486,7 @@ void DBImpl::PublishReadView() {
   // The release pointer swap inside Store makes the new memtable pointers
   // visible to any reader whose Acquire observes this view; superseded
   // views are reclaimed by epoch, never under a reader.
-  read_view_.Store(std::make_shared<const ReadView>(
-      mem_, imm_, last_sequence_.load(std::memory_order_relaxed)));
+  read_view_.Store(std::make_shared<const ReadView>(mem_, imm_));
 }
 
 Status DBImpl::MakeRoomForWrite(std::unique_lock<std::mutex>& lock) {
@@ -643,20 +641,6 @@ Status DBImpl::Write(const WriteOptions& options, WriteBatch* updates) {
 // ---------------------------------------------------------------------------
 // Read path
 
-DBImpl::ReadPoint::ReadPoint(const DBImpl* db, const ReadOptions& options)
-    : engine_(options.snapshot == nullptr ? db->engine_.get() : nullptr) {
-  if (engine_ == nullptr) {
-    sequence_ = static_cast<const SnapshotImpl*>(options.snapshot)->sequence();
-    return;
-  }
-  stamp_ = engine_->version_stamp();
-  sequence_ = db->last_sequence_.load(std::memory_order_acquire);
-}
-
-bool DBImpl::ReadPoint::Stable() const {
-  return engine_ == nullptr || engine_->version_stamp() == stamp_;
-}
-
 Status DBImpl::Get(const ReadOptions& options, const Slice& key,
                    std::string* value) {
   Status s;
@@ -677,15 +661,17 @@ void DBImpl::MultiGet(const ReadOptions& options, size_t count,
 // Data only ever moves "down" (mem -> imm -> engine version), and each stage
 // is installed before the previous one is retired, so consulting stages in
 // the order mem, imm, engine — each loaded at or after the sequence load —
-// can never miss an entry at or below the loaded sequence.  A pass loads
-// the sequence once and acquires the view once for all its mem/imm probes;
-// the engine sees the survivors sorted, so per-table metadata and block I/O
-// coalesce across the batch.
+// can never miss an entry at or below the loaded sequence.  The read point
+// holds compaction's horizon at or below that sequence until the engine
+// probe returns, so no merge collects an entry the read needs.  The
+// sequence is loaded once and the view acquired once for all the mem/imm
+// probes; the engine sees the survivors sorted, so per-table metadata and
+// block I/O coalesce across the batch.
 void DBImpl::Lookup(const ReadOptions& options, size_t count,
                     const Slice* keys, std::string* values,
                     Status* statuses) {
-  // A request and the key it looks up; the key is rebuilt at each pass's
-  // sequence (LookupKey can be neither moved nor assigned).
+  // A request and the key it looks up (LookupKey can be neither moved nor
+  // assigned, so it is built in place).
   struct Slot {
     // User-provided, so the vector's value-initialization does not
     // zero-fill the key buffer first.
@@ -706,19 +692,15 @@ void DBImpl::Lookup(const ReadOptions& options, size_t count,
   ReadOptions batch_options = options;
   batch_options.batch = &batch;
 
-  for (;;) {
+  {
     const ReadPoint read_point(this, options);
-    pending.clear();
     {
       // Epoch guard, not a refcount: the view (and the memtable references
       // it pins) stays alive while the guard is held.  Dropped before the
       // engine probe so block I/O never delays view reclamation.
       auto view = read_view_.Acquire();
       for (size_t i = 0; i < count; ++i) {
-        // Every pass resolves every key afresh, so the whole batch is read
-        // at this pass's one read point.
         MultiGetRequest& req = slots[i].req;
-        req = MultiGetRequest();
         slots[i].lkey.emplace(keys[i], read_point.sequence());
         req.lkey = &*slots[i].lkey;
         req.value = &values[i];
@@ -734,6 +716,7 @@ void DBImpl::Lookup(const ReadOptions& options, size_t count,
       }
     }
 
+    IAMDB_SYNC_POINT("DBImpl::Lookup:BeforeEngineProbe");
     if (!pending.empty()) {
       // Engine contract: requests sorted by internal key.  Every key
       // carries the same snapshot sequence, so user-key order suffices
@@ -744,28 +727,8 @@ void DBImpl::Lookup(const ReadOptions& options, size_t count,
                 });
       engine_->MultiGet(batch_options, pending.data(), pending.size());
     }
-
-    IAMDB_SYNC_POINT("DBImpl::Lookup:BeforeStampCheck");
-    // Optimistic validation against compaction GC: a compaction that STARTS
-    // after the sequence load may capture a larger smallest-snapshot and
-    // drop the newest entry at or below that sequence (its shadower being
-    // above it).  A found value or tombstone is always genuine; a key found
-    // nowhere needs a stable read point, else the batch takes another pass
-    // at a fresh sequence — all of it, so no answer mixes two read points.
-    if (!AnyPending(pending.data(), pending.size()) || read_point.Stable()) {
-      break;
-    }
-    // A cache-only read stays bounded: the retry belongs to the full read
-    // its caller falls back to.
-    if (options.cache_only) {
-      for (MultiGetRequest* r : pending) {
-        if (!r->resolved()) {
-          r->status = Status::Incomplete("version changed during read");
-        }
-      }
-      break;
-    }
   }
+  IAMDB_SYNC_POINT("DBImpl::Lookup:AfterEngineProbe");
 
   if (batch.coalesced_reads > 0) {
     multiget_coalesced_reads_.fetch_add(batch.coalesced_reads,
@@ -810,18 +773,11 @@ Iterator* DBImpl::NewInternalIterator(const ReadOptions& options) {
 }
 
 Iterator* DBImpl::NewIterator(const ReadOptions& options) {
-  // Same ordering and compaction-GC hazard as Lookup: a version installed
-  // between the sequence load and AddIterators may already have dropped
-  // entries at or below that sequence.  Once assembled at a stable read
-  // point the iterator pins its version, so the hazard is construction-only.
-  for (;;) {
-    const ReadPoint read_point(this, options);
-    Iterator* internal_iter = NewInternalIterator(options);
-    if (read_point.Stable()) {
-      return NewDBIterator(internal_iter, read_point.sequence());
-    }
-    delete internal_iter;
-  }
+  // Same read point as Lookup.  Its horizon membership only has to cover
+  // construction: the assembled iterator pins its version, whose files no
+  // later compaction can take away.
+  const ReadPoint read_point(this, options);
+  return NewDBIterator(NewInternalIterator(options), read_point.sequence());
 }
 
 const Snapshot* DBImpl::GetSnapshot() {

@@ -3,6 +3,7 @@
 // file garbage collection.  The on-disk half is a TreeEngine.
 #pragma once
 
+#include <algorithm>
 #include <atomic>
 #include <condition_variable>
 #include <deque>
@@ -22,6 +23,7 @@
 #include "memtable/memtable.h"
 #include "table/cache.h"
 #include "table/compressor.h"
+#include "util/epoch_banks.h"
 #include "util/published_ptr.h"
 #include "util/rate_limiter.h"
 #include "util/thread_pool.h"
@@ -35,11 +37,9 @@ struct WriterItem;
 // read hot path never touches the write mutex (mirrors how engines publish
 // TreeVersionPtr).  Holds memtable references for its whole lifetime, so a
 // reader that loaded a view can keep using `mem`/`imm` after rotation or
-// flush retires them.  `last_sequence` is the newest sequence that was
-// visible when the view was installed — readers use the fresher atomic
-// DBImpl counter for their snapshot, the field is a floor for diagnostics.
+// flush retires them.
 struct ReadView {
-  ReadView(MemTable* m, MemTable* i, SequenceNumber seq);
+  ReadView(MemTable* m, MemTable* i);
   ~ReadView();
 
   ReadView(const ReadView&) = delete;
@@ -47,7 +47,6 @@ struct ReadView {
 
   MemTable* const mem;
   MemTable* const imm;  // may be null
-  const SequenceNumber last_sequence;
 };
 
 class DBImpl final : public DB {
@@ -89,13 +88,16 @@ class DBImpl final : public DB {
   uint64_t NewFileNumber() { return next_file_number_++; }   // mutex held
   uint64_t NewNodeId() { return next_node_id_++; }           // mutex held
 
-  // Oldest sequence any live snapshot can observe.  Takes snapshots_mu_
-  // internally; callers hold mutex_ (engines), never snapshots_mu_.
-  SequenceNumber SmallestSnapshot() const {
+  // Compaction's GC horizon: the oldest sequence a registered snapshot or
+  // an in-flight read may observe (docs/CONCURRENCY.md).  Callers hold
+  // mutex_, which serializes read_horizon_; takes snapshots_mu_ inside.
+  SequenceNumber SmallestSnapshot() {
+    const SequenceNumber horizon =
+        read_horizon_.Advance(last_sequence_.load(std::memory_order_acquire));
     std::lock_guard<std::mutex> l(snapshots_mu_);
     return snapshots_.empty()
-               ? last_sequence_.load(std::memory_order_acquire)
-               : snapshots_.oldest()->sequence();
+               ? horizon
+               : std::min(horizon, snapshots_.oldest()->sequence());
   }
 
   // Durably apply an edit (mutex held).  Counters are stamped in.
@@ -142,30 +144,27 @@ class DBImpl final : public DB {
   void MaybeRebalanceMemoryFromRead();  // no mutex; try-locks
   void BackgroundCall(TreeEngine::WorkLane lane);
   void RemoveObsoleteFiles();  // mutex held (open/flush time)
-  // The read-point protocol of every read (docs/CONCURRENCY.md, "Reads vs
-  // compaction garbage collection").  Construction samples the engine's
-  // version stamp, then loads the committed sequence — or takes
-  // options.snapshot's.  Stable() re-checks the stamp once the read is
-  // done: an unchanged stamp proves every version the read could have seen
-  // was installed before the sequence load, so their compactions only
-  // dropped entries shadowed at or below it and a NotFound is genuine.  A
-  // registered snapshot is honoured by SmallestSnapshot() and always
-  // stable.
+  // The read point of every read: options.snapshot's sequence, or else the
+  // committed sequence, loaded after entering read_horizon_ (members
+  // initialize in declaration order), which keeps every compaction that
+  // starts before the ReadPoint is destroyed from collecting below it.
   class ReadPoint {
    public:
-    ReadPoint(const DBImpl* db, const ReadOptions& options);
+    ReadPoint(const DBImpl* db, const ReadOptions& options)
+        : horizon_(db->read_horizon_.Enter()),
+          sequence_(options.snapshot != nullptr
+                        ? static_cast<const SnapshotImpl*>(options.snapshot)
+                              ->sequence()
+                        : db->last_sequence_.load(std::memory_order_acquire)) {}
     SequenceNumber sequence() const { return sequence_; }
-    bool Stable() const;
 
    private:
-    const TreeEngine* engine_;  // null at a registered snapshot
-    uint64_t stamp_ = 0;
-    SequenceNumber sequence_ = 0;
+    const ReadHorizon::Guard horizon_;
+    const SequenceNumber sequence_;
   };
 
   // The one point-read path: Get is a batch of one, MultiGet of `count`.
-  // Fills statuses[i]/values[i] for keys[i], all at one read point,
-  // retrying the keys found nowhere until the read point is stable.
+  // Fills statuses[i]/values[i] for keys[i], all at one read point.
   void Lookup(const ReadOptions& options, size_t count, const Slice* keys,
               std::string* values, Status* statuses);
   Iterator* NewInternalIterator(const ReadOptions& options);
@@ -203,6 +202,10 @@ class DBImpl final : public DB {
   // acquire load observes every entry at or below the loaded sequence.
   PublishedPtr<const ReadView> read_view_;
   std::atomic<SequenceNumber> last_sequence_{0};
+  // Lock-free reads in flight, for SmallestSnapshot().  Its own banks, not
+  // read_view_'s: a read holds this epoch across device I/O, which must
+  // never delay view (and memtable) reclamation.
+  ReadHorizon read_horizon_;
 
   uint64_t next_file_number_ = 2;
   uint64_t next_node_id_ = 1;

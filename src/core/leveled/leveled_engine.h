@@ -46,7 +46,6 @@ class LeveledEngine final : public TreeEngine {
   TreeVersionPtr current_version() const override {
     return current_.Snapshot();
   }
-  uint64_t version_stamp() const override { return current_.stamp(); }
   Status CheckInvariants(bool quiescent) const override;
 
  private:

@@ -18,7 +18,7 @@ namespace iamdb {
 struct MultiGetRequest {
   enum class State { kPending, kFound, kDeleted };
 
-  // Inputs, set once per read pass by DBImpl.  The LookupKey carries the
+  // Inputs, set once by DBImpl.  The LookupKey carries the
   // batch's snapshot sequence, so internal-key order over a batch equals
   // user-key order.
   const LookupKey* lkey = nullptr;

@@ -260,9 +260,9 @@ struct ReadOptions {
   MultiGetContext* batch = nullptr;
   // No-I/O read tier for Get/MultiGet: answer only from the memtables and
   // the block-cache tiers.  Where the answer needs the device — an unopened
-  // table, a block in neither cache tier — or a stamp retry (see
-  // DBImpl::Lookup), the read returns Status::Incomplete instead, without
-  // blocking on I/O or on a table's open lock.  Not meant for iterators.
+  // table, a block in neither cache tier — the read returns
+  // Status::Incomplete instead, without blocking on I/O or on a table's
+  // open lock.  Not meant for iterators.
   bool cache_only = false;
 };
 

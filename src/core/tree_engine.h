@@ -62,7 +62,8 @@ class TreeEngine {
   // covering node so each table's bloom/index is consulted once per group
   // and cache-missing data blocks coalesce into vectored device reads.
   // Outcomes land in each request's state/status; keys absent everywhere
-  // stay pending (the caller maps those to NotFound).
+  // stay pending (the caller maps those to NotFound).  The caller's read
+  // point keeps merges from dropping an entry the batch can see.
   virtual void MultiGet(const ReadOptions& options,
                         MultiGetRequest* const* reqs, size_t count) = 0;
 
@@ -93,16 +94,6 @@ class TreeEngine {
 
   // Current published tree version (lock-free).
   virtual TreeVersionPtr current_version() const = 0;
-
-  // Monotone counter bumped BEFORE each version publication (lock-free).
-  // The read path's optimistic validation handle: a reader samples it
-  // before loading its snapshot sequence and re-checks after an engine
-  // probe comes back empty.  An unchanged stamp proves every version the
-  // probe could have seen was installed before the sequence load, whose
-  // compactions therefore only dropped entries shadowed at or below that
-  // sequence — so the NotFound is genuine (docs/CONCURRENCY.md, "Reads vs
-  // compaction garbage collection").
-  virtual uint64_t version_stamp() const = 0;
 
   // Validates structural invariants of the published version (range
   // disjointness, node-count thresholds, node size budgets).  Counts are

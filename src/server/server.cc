@@ -17,7 +17,6 @@
 #include <deque>
 #include <unordered_map>
 
-#include "core/snapshot.h"
 #include "memtable/write_batch.h"
 #include "util/coding.h"
 
@@ -155,6 +154,11 @@ struct Server::Shard {
 Server::Server(DB* db, ServerOptions options)
     : db_(db),
       options_(std::move(options)),
+      num_shards_(options_.num_shards > 0
+                      ? options_.num_shards
+                      : std::clamp(static_cast<int>(
+                                       std::thread::hardware_concurrency()),
+                                   1, 4)),
       stats_(std::make_unique<AtomicStats>()) {}
 
 Server::~Server() { Stop(); }
@@ -203,13 +207,8 @@ Status Server::Start() {
     port_ = ntohs(bound.sin_port);
   }
 
-  int num_shards = options_.num_shards;
-  if (num_shards <= 0) {
-    num_shards = static_cast<int>(std::thread::hardware_concurrency());
-    num_shards = std::clamp(num_shards, 1, 4);
-  }
-  shards_.reserve(num_shards);
-  for (int i = 0; i < num_shards; i++) {
+  shards_.reserve(num_shards_);
+  for (int i = 0; i < num_shards_; i++) {
     auto shard = std::make_unique<Shard>();
     shard->epoll_fd = ::epoll_create1(EPOLL_CLOEXEC);
     shard->wake_fd = ::eventfd(0, EFD_NONBLOCK | EFD_CLOEXEC);
@@ -859,18 +858,14 @@ bool Server::DoMultiGet(const ReadOptions& read_options, const Slice& payload,
     return true;
   }
 
-  // One snapshot for the whole batch: every key is read at the same
-  // sequence, so a batch can never observe half of a concurrent write.
-  ReadOptions batch_options = read_options;
-  batch_options.snapshot = db_->GetSnapshot();
-
-  // One native MultiGet for the whole batch: the DB acquires its read view
-  // once and coalesces table I/O across the keys (docs/PROTOCOL.md).
+  // One native MultiGet for the whole batch: every key is read at one
+  // read point, so a batch can never observe half of a concurrent write,
+  // and the DB acquires its read view once and coalesces table I/O across
+  // the keys (docs/PROTOCOL.md).
   std::vector<std::string> values(keys.size());
   std::vector<Status> statuses(keys.size());
-  db_->MultiGet(batch_options, keys.size(), keys.data(), values.data(),
+  db_->MultiGet(read_options, keys.size(), keys.data(), values.data(),
                 statuses.data());
-  db_->ReleaseSnapshot(batch_options.snapshot);
   for (const Status& s : statuses) {
     if (s.IsIncomplete()) return false;  // the whole batch goes to the pool
   }

@@ -16,7 +16,7 @@
 // Inline reads: a GET, or an MGET of at most 64 keys, is first executed on
 // the reactor with ReadOptions::cache_only, which answers from the
 // memtables and block-cache tiers and returns Incomplete rather than touch
-// the device, wait on a table's open lock or retry.  A hit is queued
+// the device or wait on a table's open lock.  A hit is queued
 // straight onto the connection — no pool hop, no eventfd round trip.  An
 // Incomplete goes to the pool exactly like any other request.  A
 // per-connection gate on the observed hit ratio of these attempts keeps a
@@ -177,7 +177,8 @@ class Server {
   // per counter.
   std::string StatsString() const;
 
-  int num_shards() const { return static_cast<int>(shards_.size()); }
+  // Reactor count, resolved at construction; it outlives Stop().
+  int num_shards() const { return num_shards_; }
 
  private:
   struct Connection;
@@ -226,6 +227,7 @@ class Server {
 
   DB* const db_;
   const ServerOptions options_;
+  const int num_shards_;
 
   int listen_fd_ = -1;
   int port_ = -1;

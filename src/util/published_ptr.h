@@ -2,45 +2,26 @@
 // with epoch-based reclamation — the publication primitive behind the
 // lock-free read path (DBImpl's ReadView, the engines' TreeVersion).
 //
-// Why not std::atomic<std::shared_ptr<T>>?  libstdc++'s _Sp_atomic guards
-// its raw pointer with an embedded lock bit but releases the reader side
-// with memory_order_relaxed, so the reader's pointer load and the writer's
-// swap are not ordered by happens-before in the formal model — correct on
-// real hardware, but ThreadSanitizer (rightly) reports it, and our TSAN CI
-// job is the regression guard for exactly this protocol.  It also takes a
-// refcount RMW on a shared cache line per load; the guard-based fast path
-// here takes none.
+// Not std::atomic<std::shared_ptr<T>>: libstdc++'s takes a lock bit and a
+// refcount RMW per load, and TSan rightly reports its relaxed reader
+// unlock (docs/CONCURRENCY.md, "PublishedPtr").
 //
-// Protocol (classic two-bank epoch reclamation, as in userspace-RCU):
-//   * Readers enter a per-thread slot's counter for the current epoch's
-//     bank, re-check the epoch (retrying if a flip raced them), read the
-//     raw pointer, and leave the bank when the guard drops.  Wait-free in
-//     the absence of concurrent flips; never blocks on writers.
-//   * The writer (callers must serialize stores — in this codebase every
-//     Store happens under the DB mutex) swaps the pointer, pushes the old
-//     value onto a retired list, flips the epoch, and frees a retired
-//     pointer only once EACH bank has been observed drained at some moment
-//     after that pointer was retired.  Any reader that could still hold
-//     the pointer entered its bank before the retirement, so two observed
-//     drains prove no holder remains; readers entering later can only load
-//     the newer pointer (the swap precedes the retirement).
-//   The seq_cst fence pairing: the writer flips (seq_cst RMW) then reads
-//   the counters; a reader increments (seq_cst RMW) then re-reads the
-//   epoch.  In the single total order of seq_cst operations either the
-//   writer sees the increment (and keeps the pointer), or the reader sees
-//   the flip (and retries into the new bank).
-//
-// Reclamation is deferred, not blocking: an unlucky sample of a transient
-// reader keeps a retired pointer one more round; it is freed by a later
-// Store or the destructor.  The destructor requires all readers gone.
+// Protocol: readers enter an EpochBanks epoch (util/epoch_banks.h) and
+// read the raw pointer.  Store (callers serialize it; here, the DB mutex)
+// swaps the pointer, retires the old one, flips, and frees a retired
+// pointer once each bank has been seen drained since its retirement: any
+// holder entered before it, and later readers load the newer pointer.
+// Reclamation is deferred, not blocking — a retired pointer left by a busy
+// bank is freed by a later Store or the destructor, which requires all
+// readers gone.
 #pragma once
 
 #include <atomic>
-#include <cassert>
-#include <cstdint>
 #include <memory>
 #include <utility>
 #include <vector>
+
+#include "util/epoch_banks.h"
 
 namespace iamdb {
 
@@ -64,44 +45,24 @@ class PublishedPtr {
   // reclamation of every pointer retired after it was acquired.
   class ReadGuard {
    public:
-    ReadGuard(ReadGuard&& other) noexcept
-        : value_(other.value_), bank_(other.bank_) {
-      other.bank_ = nullptr;
-    }
-    ReadGuard(const ReadGuard&) = delete;
-    ReadGuard& operator=(const ReadGuard&) = delete;
-    ReadGuard& operator=(ReadGuard&&) = delete;
-
-    ~ReadGuard() {
-      if (bank_ != nullptr) bank_->fetch_sub(1, std::memory_order_release);
-    }
-
     T* get() const { return value_; }
     T* operator->() const { return value_; }
     T& operator*() const { return *value_; }
 
    private:
     friend class PublishedPtr;
-    ReadGuard(T* value, std::atomic<uint64_t>* bank)
-        : value_(value), bank_(bank) {}
+    ReadGuard(T* value, EpochBanks::Guard membership)
+        : value_(value), membership_(std::move(membership)) {}
 
     T* value_;
-    std::atomic<uint64_t>* bank_;
+    EpochBanks::Guard membership_;
   };
 
   // Lock-free fast path: no refcount traffic, two counter RMWs total.
   ReadGuard Acquire() const {
-    Slot& slot = slots_[ThreadSlotIndex()];
-    for (;;) {
-      const uint64_t e = epoch_.load(std::memory_order_seq_cst);
-      std::atomic<uint64_t>& bank = slot.count[e & 1];
-      bank.fetch_add(1, std::memory_order_seq_cst);
-      if (epoch_.load(std::memory_order_seq_cst) == e) {
-        return ReadGuard(ptr_.load(std::memory_order_acquire)->get(), &bank);
-      }
-      // A flip raced us into the stale bank; bounce to the new one.
-      bank.fetch_sub(1, std::memory_order_seq_cst);
-    }
+    EpochBanks::Guard membership = banks_.Enter();
+    return ReadGuard(ptr_.load(std::memory_order_acquire)->get(),
+                     std::move(membership));
   }
 
   // A real shared_ptr for callers that pin the value beyond one operation
@@ -113,23 +74,14 @@ class PublishedPtr {
     return *ptr_.load(std::memory_order_acquire);
   }
 
-  // Publication counter for optimistic read validation.  Bumped BEFORE the
-  // pointer swap in Store(): a reader that observes a new pointer is
-  // therefore guaranteed to observe the bump on its next stamp() load (the
-  // bump is sequenced before the release exchange the reader's acquire
-  // load synchronized with).  An unchanged stamp across a read brackets
-  // the read to pointers published before the first sample.
-  uint64_t stamp() const { return stamp_.load(std::memory_order_acquire); }
-
   // REQUIRES: stores are serialized by the caller (DB mutex).  Readers are
   // never blocked; old values are reclaimed once provably unreferenced.
   void Store(std::shared_ptr<T> desired) {
-    stamp_.fetch_add(1, std::memory_order_release);
     auto* fresh = new std::shared_ptr<T>(std::move(desired));
     std::shared_ptr<T>* old =
         ptr_.exchange(fresh, std::memory_order_acq_rel);
     retired_.push_back(Retired{old, 0});
-    epoch_.fetch_add(1, std::memory_order_seq_cst);
+    banks_.Flip();
     Collect();
   }
 
@@ -137,38 +89,19 @@ class PublishedPtr {
   size_t retired_count() const { return retired_.size(); }
 
  private:
-  struct alignas(64) Slot {
-    std::atomic<uint64_t> count[2] = {{0}, {0}};
-  };
-  static constexpr int kSlots = 16;
-
   struct Retired {
     std::shared_ptr<T>* ptr;
     unsigned drained_banks;  // bitmask of banks observed empty since retire
   };
 
-  static size_t ThreadSlotIndex() {
-    static std::atomic<size_t> next{0};
-    thread_local const size_t assigned =
-        next.fetch_add(1, std::memory_order_relaxed);
-    return assigned & (kSlots - 1);
-  }
-
   // Caller serialized (same contract as Store).
   void Collect() {
-    unsigned drained = 0;
-    for (int b = 0; b < 2; b++) {
-      uint64_t readers = 0;
-      for (const Slot& slot : slots_) {
-        readers += slot.count[b].load(std::memory_order_seq_cst);
-      }
-      if (readers == 0) drained |= 1u << b;
-    }
+    const unsigned drained = banks_.DrainedBanks();
     if (drained == 0) return;
     size_t kept = 0;
     for (Retired& r : retired_) {
       r.drained_banks |= drained;
-      if (r.drained_banks == 0b11) {
+      if (r.drained_banks == EpochBanks::kBothDrained) {
         delete r.ptr;
       } else {
         retired_[kept++] = r;
@@ -178,9 +111,7 @@ class PublishedPtr {
   }
 
   std::atomic<std::shared_ptr<T>*> ptr_;
-  std::atomic<uint64_t> epoch_{0};
-  std::atomic<uint64_t> stamp_{0};
-  mutable Slot slots_[kSlots];
+  EpochBanks banks_;
   std::vector<Retired> retired_;  // writer-side only (serialized)
 };
 

@@ -272,9 +272,11 @@ void SimulateDiskAfterCrash(FaultInjectionEnv* fault, uint64_t seed) {
 
 // One runtime-crash cycle: open, arm the point, drive ops until the crash
 // surfaces (or the op budget ends), tear the disk, verify recovery.
-// Accumulates the point's hit count into *total_hits.
-void RunRuntimeCrashCycle(const EngineConfig& cfg, const CrashPoint& pt,
-                          uint64_t seed, uint64_t* total_hits) {
+// Accumulates the point's hit count into *total_hits.  Both cycles are
+// unused when the sync points are compiled out (plain Release).
+[[maybe_unused]] void RunRuntimeCrashCycle(const EngineConfig& cfg,
+                                           const CrashPoint& pt, uint64_t seed,
+                                           uint64_t* total_hits) {
   SCOPED_TRACE(test::SeedTrace(seed));
   SyncPoint::Instance()->Reset();
 
@@ -313,8 +315,8 @@ void RunRuntimeCrashCycle(const EngineConfig& cfg, const CrashPoint& pt,
 
 // One open-crash cycle: run ops crash-free, then inject the crash into a
 // reopen (the manifest-rewrite path), then verify a third open recovers.
-void RunOpenCrashCycle(const EngineConfig& cfg, const CrashPoint& pt,
-                       uint64_t seed) {
+[[maybe_unused]] void RunOpenCrashCycle(const EngineConfig& cfg,
+                                        const CrashPoint& pt, uint64_t seed) {
   SCOPED_TRACE(test::SeedTrace(seed));
   SyncPoint::Instance()->Reset();
 

@@ -6,7 +6,9 @@
 // (ReadOptions::cache_only) behind both Get and MultiGet: Incomplete on a
 // cold cache without touching the device, byte-equal to full reads on a
 // warm one.  And a flipped bit in a data block is Corruption for Get and
-// MultiGet alike once checksums are verified.
+// MultiGet alike once checksums are verified.  Finally the read point: a
+// read makes one pass at the sequence it loaded first, and a merge that
+// runs meanwhile keeps the versions it can see.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -119,7 +121,9 @@ class MultiGetTest : public testing::TestWithParam<MultiGetParam> {
       Status expect = db_->Get(options, keys[i], &expect_value);
       EXPECT_EQ(expect.ok(), statuses[i].ok()) << keys[i];
       EXPECT_EQ(expect.IsNotFound(), statuses[i].IsNotFound()) << keys[i];
-      if (expect.ok()) EXPECT_EQ(expect_value, values[i]) << keys[i];
+      if (expect.ok()) {
+        EXPECT_EQ(expect_value, values[i]) << keys[i];
+      }
     }
   }
 
@@ -179,7 +183,9 @@ TEST_P(MultiGetTest, ColdCacheBatchIssuesFewerDeviceReads) {
   Open();
   for (int i = 0; i < 20000; i++) {
     ASSERT_TRUE(db_->Put(WriteOptions(), Key(i), Value(i, 1)).ok());
-    if (i % 500 == 499) ASSERT_TRUE(db_->WaitForQuiescence().ok());
+    if (i % 500 == 499) {
+      ASSERT_TRUE(db_->WaitForQuiescence().ok());
+    }
   }
   ASSERT_TRUE(db_->FlushAll().ok());
   ASSERT_TRUE(db_->WaitForQuiescence().ok());
@@ -226,7 +232,9 @@ TEST_P(MultiGetTest, CoalescingGaugesRecorded) {
   Open();
   for (int i = 0; i < 20000; i++) {
     ASSERT_TRUE(db_->Put(WriteOptions(), Key(i), Value(i, 1)).ok());
-    if (i % 500 == 499) ASSERT_TRUE(db_->WaitForQuiescence().ok());
+    if (i % 500 == 499) {
+      ASSERT_TRUE(db_->WaitForQuiescence().ok());
+    }
   }
   ASSERT_TRUE(db_->FlushAll().ok());
   ASSERT_TRUE(db_->WaitForQuiescence().ok());
@@ -570,11 +578,10 @@ TEST_P(MultiGetTest, CacheOnlyWarmMatchesFullReads) {
   }
 }
 
-// A batch without options.snapshot is read at one read point even when a
-// version install moves the stamp mid-batch: the retry a key found nowhere
-// forces re-reads every key, not only the unresolved ones.  Here k is found
-// on the first pass and x is not; the install then writes both.
-TEST_P(MultiGetTest, RetryRereadsWholeBatchAtOneReadPoint) {
+// A batch without options.snapshot is answered at the one read point it
+// loaded first: k and x are written and flushed between the mem/imm probe
+// and the engine probe, and the batch sees neither write.
+TEST_P(MultiGetTest, MidBatchFlushLeavesBatchAtOneReadPoint) {
 #ifndef IAMDB_SYNC_POINTS
   GTEST_SKIP() << "sync points compiled out (-DIAMDB_SYNC_POINTS=ON)";
 #else
@@ -584,7 +591,7 @@ TEST_P(MultiGetTest, RetryRereadsWholeBatchAtOneReadPoint) {
 
   std::atomic<bool> armed{true};
   SyncPoint* sp = SyncPoint::Instance();
-  sp->SetCallback("DBImpl::Lookup:BeforeStampCheck", [&](void*) {
+  sp->SetCallback("DBImpl::Lookup:BeforeEngineProbe", [&](void*) {
     if (!armed.exchange(false)) return;
     ASSERT_TRUE(db_->Put(WriteOptions(), "k", "v2").ok());
     ASSERT_TRUE(db_->Put(WriteOptions(), "x", "x1").ok());
@@ -598,15 +605,83 @@ TEST_P(MultiGetTest, RetryRereadsWholeBatchAtOneReadPoint) {
   sp->Reset();
   ASSERT_FALSE(armed.load());
 
-  // Before both writes (v1, NotFound) or after both (v2, x1); never mixed.
   ASSERT_TRUE(statuses[0].ok()) << statuses[0].ToString();
-  if (statuses[1].IsNotFound()) {
-    EXPECT_EQ("v1", values[0]);
-  } else {
-    ASSERT_TRUE(statuses[1].ok()) << statuses[1].ToString();
-    EXPECT_EQ("v2", values[0]);
-    EXPECT_EQ("x1", values[1]);
-  }
+  EXPECT_EQ("v1", values[0]);
+  EXPECT_TRUE(statuses[1].IsNotFound()) << statuses[1].ToString();
+#endif
+}
+
+// GC hazard: a merge that starts while a lock-free read is in flight keeps
+// the newest version at or below the read's sequence, though a newer write
+// shadows it.  The read pauses after loading its sequence while k=v2 is
+// written, flushed and merged with k=v1 — an L0 compaction on leveled, a
+// merge into the full L1 leaf (the filler fills it) on LSA and IAM.
+TEST_P(MultiGetTest, MergeDuringReadKeepsVersionAtReadPoint) {
+#ifndef IAMDB_SYNC_POINTS
+  GTEST_SKIP() << "sync points compiled out (-DIAMDB_SYNC_POINTS=ON)";
+#else
+  Options options = MakeOptions();
+  options.leveled.l0_compaction_trigger = 2;
+  ASSERT_TRUE(DB::Open(options, "/db", &db_).ok());
+  ASSERT_TRUE(db_->Put(WriteOptions(), "k", "v1").ok());
+  ASSERT_TRUE(db_->Put(WriteOptions(), "k-filler",
+                       std::string(options.node_capacity, 'f'))
+                  .ok());
+  ASSERT_TRUE(db_->FlushAll().ok());
+  const uint64_t merged_before =
+      db_->amp_stats().reason_bytes(WriteReason::kMerge);
+
+  std::atomic<bool> armed{true};
+  SyncPoint* sp = SyncPoint::Instance();
+  sp->SetCallback("DBImpl::Lookup:BeforeEngineProbe", [&](void*) {
+    if (!armed.exchange(false)) return;
+    ASSERT_TRUE(db_->Put(WriteOptions(), "k", "v2").ok());
+    ASSERT_TRUE(db_->FlushAll().ok());  // returns once the merge is done
+  });
+  sp->EnableProcessing();
+  std::string value;
+  Status s = db_->Get(ReadOptions(), "k", &value);
+  sp->Reset();
+  ASSERT_FALSE(armed.load());
+  EXPECT_GT(db_->amp_stats().reason_bytes(WriteReason::kMerge),
+            merged_before);
+
+  ASSERT_TRUE(s.ok()) << s.ToString();
+  EXPECT_EQ("v1", value);
+  ASSERT_TRUE(db_->Get(ReadOptions(), "k", &value).ok());
+  EXPECT_EQ("v2", value);
+#endif
+}
+
+// A read makes one pass however many versions are installed while it
+// runs: every pass of the point after the engine probe flushes a new
+// version (up to five), and a read that finds nothing passes it once.
+TEST_P(MultiGetTest, NotFoundReadMakesOnePass) {
+#ifndef IAMDB_SYNC_POINTS
+  GTEST_SKIP() << "sync points compiled out (-DIAMDB_SYNC_POINTS=ON)";
+#else
+  Open();
+  ASSERT_TRUE(db_->Put(WriteOptions(), "k", "v1").ok());
+  ASSERT_TRUE(db_->FlushAll().ok());
+
+  int installs = 0;
+  SyncPoint* sp = SyncPoint::Instance();
+  const char* kPoint = "DBImpl::Lookup:AfterEngineProbe";
+  sp->SetCallback(kPoint, [&](void*) {
+    if (installs == 5) return;
+    const std::string filler = "filler" + std::to_string(installs++);
+    ASSERT_TRUE(db_->Put(WriteOptions(), filler, "x").ok());
+    ASSERT_TRUE(db_->FlushAll().ok());
+  });
+  sp->EnableProcessing();
+  std::string value;
+  Status s = db_->Get(ReadOptions(), "absent", &value);
+  const uint64_t passes = sp->HitCount(kPoint);
+  sp->Reset();
+
+  EXPECT_TRUE(s.IsNotFound()) << s.ToString();
+  EXPECT_EQ(1u, passes);
+  EXPECT_EQ(1, installs);
 #endif
 }
 

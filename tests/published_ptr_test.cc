@@ -1,5 +1,7 @@
 // Tests for PublishedPtr, the epoch-reclaimed published pointer behind the
-// lock-free read path (DBImpl::read_view_, the engines' current_).
+// lock-free read path (DBImpl::read_view_, the engines' current_), and for
+// ReadHorizon, the in-flight-read floor of compaction's GC horizon; both
+// are built on EpochBanks.
 #include "util/published_ptr.h"
 
 #include <gtest/gtest.h>
@@ -11,6 +13,7 @@
 #include <vector>
 
 #include "test_seed.h"
+#include "util/epoch_banks.h"
 
 namespace iamdb {
 namespace {
@@ -126,6 +129,87 @@ TEST(PublishedPtrTest, ConcurrentReadersSeeMonotonePublishedValues) {
   p.Store(std::make_shared<Tracked>(kStores));
   EXPECT_LE(p.retired_count(), 1u);
   EXPECT_LE(Tracked::live.load(), 2);
+}
+
+// A reader keeps every horizon computed while it is in flight at or below
+// the sequence it loaded after entering, however many epochs pass; so does
+// a second reader that enters later.
+TEST(ReadHorizonTest, NeverAboveAnInFlightReadersSequence) {
+  ReadHorizon horizon;
+  EXPECT_EQ(10u, horizon.Advance(10));
+  {
+    ReadHorizon::Guard first = horizon.Enter();
+    const uint64_t first_sequence = 12;  // loaded after entering
+    for (uint64_t committed = 20; committed <= 60; committed += 10) {
+      EXPECT_LE(horizon.Advance(committed), first_sequence);
+    }
+    ReadHorizon::Guard second = horizon.Enter();
+    const uint64_t second_sequence = 65;
+    const uint64_t h = horizon.Advance(70);
+    EXPECT_LE(h, first_sequence);
+    EXPECT_LE(h, second_sequence);
+  }
+}
+
+// Once the readers leave, the next Advance sees both banks empty, retires
+// every pending floor and is back at the committed sequence; so is every
+// Advance with no reader at all.
+TEST(ReadHorizonTest, ReturnsToCommittedOnceBothBanksDrain) {
+  ReadHorizon horizon;
+  for (uint64_t committed = 0; committed < 5; committed++) {
+    EXPECT_EQ(committed, horizon.Advance(committed));
+  }
+  {
+    ReadHorizon::Guard a = horizon.Enter();
+    EXPECT_EQ(4u, horizon.Advance(10));
+    ReadHorizon::Guard b = horizon.Enter();  // the other bank
+    EXPECT_EQ(4u, horizon.Advance(20));
+    EXPECT_EQ(4u, horizon.Advance(30));
+  }
+  EXPECT_EQ(40u, horizon.Advance(40));
+  EXPECT_EQ(50u, horizon.Advance(50));
+}
+
+// Readers enter, load the committed sequence, read the latest published
+// horizon and leave, while a writer advances both.  Any horizon a reader
+// can see while it is in flight is at or below its sequence, and the
+// horizon never moves backwards.  Run under TSan in CI.
+TEST(ReadHorizonTest, ConcurrentEnterLeaveAndAdvance) {
+  const int kReaders = 4;
+  const uint64_t kAdvances = 20000;
+  ReadHorizon horizon;
+  std::atomic<uint64_t> committed{0};
+  std::atomic<uint64_t> published{0};
+  std::atomic<bool> stop{false};
+  std::atomic<int> violations{0};
+  std::vector<std::thread> readers;
+  readers.reserve(kReaders);
+  for (int r = 0; r < kReaders; r++) {
+    readers.emplace_back([&] {
+      while (!stop.load(std::memory_order_acquire)) {
+        ReadHorizon::Guard guard = horizon.Enter();
+        const uint64_t sequence = committed.load(std::memory_order_acquire);
+        std::this_thread::yield();
+        if (published.load(std::memory_order_acquire) > sequence) {
+          violations.fetch_add(1);
+        }
+      }
+    });
+  }
+  uint64_t last = 0;
+  bool monotone = true;
+  for (uint64_t i = 1; i <= kAdvances; i++) {
+    committed.store(i, std::memory_order_release);
+    const uint64_t h = horizon.Advance(i);
+    monotone = monotone && last <= h && h <= i;
+    last = h;
+    published.store(h, std::memory_order_release);
+  }
+  stop.store(true, std::memory_order_release);
+  for (auto& t : readers) t.join();
+  EXPECT_EQ(0, violations.load());
+  EXPECT_TRUE(monotone);
+  EXPECT_EQ(kAdvances, horizon.Advance(kAdvances));
 }
 
 }  // namespace

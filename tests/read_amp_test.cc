@@ -50,7 +50,9 @@ class ReadAmpTest : public testing::TestWithParam<ReadAmpParam> {
       // seek counts asserted below — is identical run to run.  With the
       // flush-priority scheduler the writer otherwise outruns merges by a
       // timing-dependent amount.
-      if (i % 250 == 249) ASSERT_TRUE(db_->WaitForQuiescence().ok());
+      if (i % 250 == 249) {
+        ASSERT_TRUE(db_->WaitForQuiescence().ok());
+      }
     }
     ASSERT_TRUE(db_->WaitForQuiescence().ok());
   }

@@ -235,7 +235,9 @@ void RunEquivalence(const EngineCase& engine, int num_shards, uint64_t seed) {
     Status ps = plain->Get(ReadOptions(), Key(i), &pv);
     ASSERT_EQ(ss.ok(), ps.ok()) << Key(i);
     ASSERT_EQ(ss.IsNotFound(), ps.IsNotFound()) << Key(i);
-    if (ss.ok()) ASSERT_EQ(sv, pv) << Key(i);
+    if (ss.ok()) {
+      ASSERT_EQ(sv, pv) << Key(i);
+    }
   }
 
   auto Collect = [](Iterator* it) {
@@ -363,7 +365,9 @@ TEST(ShardedMultiGetTest, MatchesPerKeyGets) {
         Status expect = db->Get(ro, keys[i], &expect_value);
         ASSERT_EQ(expect.ok(), statuses[i].ok()) << keys[i];
         ASSERT_EQ(expect.IsNotFound(), statuses[i].IsNotFound()) << keys[i];
-        if (expect.ok()) ASSERT_EQ(expect_value, values[i]) << keys[i];
+        if (expect.ok()) {
+          ASSERT_EQ(expect_value, values[i]) << keys[i];
+        }
       }
     }
     db->ReleaseSnapshot(snap);
