@@ -72,7 +72,9 @@ Options MakeCellOptions(const CellConfig& cell, Env* env) {
   options.leveled.max_bytes_level1 = 5 * (256 << 10);
   options.background_threads = cell.bg_threads;
   options.max_subcompactions = 4;
-  options.compaction_rate_limit = cell.rate_limit_mb << 20;
+  if (cell.rate_limit_mb > 0) {
+    options.pacing = PacingOptions::Pinned(cell.rate_limit_mb << 20);
+  }
   return options;
 }
 

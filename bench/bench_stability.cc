@@ -3,7 +3,7 @@
 // pacing regimes:
 //
 //   unpaced  - no compaction rate limit (merges burst at full speed)
-//   static   - fixed 32MB/s token bucket (BENCH_compaction_scaling's knee:
+//   static   - pacer pinned at 32MB/s (BENCH_compaction_scaling's knee:
 //              smooth but ~10x slower)
 //   adaptive - debt/ingest feedback controller (core/compaction_pacer.h)
 //
@@ -72,7 +72,7 @@ struct EngineSpec {
 
 struct ModeSpec {
   const char* name;
-  uint64_t rate_limit_mb;  // static token bucket; 0 = none
+  uint64_t rate_limit_mb;  // pinned pacer; 0 = none
   bool adaptive;
 };
 
@@ -94,8 +94,11 @@ Options MakeCellOptions(const EngineSpec& spec, const ModeSpec& mode,
   options.leveled.max_bytes_level1 = 5 * (256 << 10);
   options.background_threads = bg_threads;
   options.max_subcompactions = 4;
-  options.compaction_rate_limit = mode.rate_limit_mb << 20;
-  options.pacing.adaptive = mode.adaptive;
+  if (mode.rate_limit_mb > 0) {
+    options.pacing = PacingOptions::Pinned(mode.rate_limit_mb << 20);
+  } else {
+    options.pacing.adaptive = mode.adaptive;
+  }
   return options;
 }
 

@@ -13,7 +13,7 @@
 #include "core/db_impl.h"
 #include "core/filename.h"
 #include "core/level_iters.h"
-#include "table/merging_iterator.h"
+#include "core/node_writer.h"
 #include "util/rate_limiter.h"
 #include "util/task_group.h"
 
@@ -64,25 +64,6 @@ class VectorIterator final : public Iterator {
   const RecordVec* records_;
   size_t index_;
 };
-
-NodePtr NodeFromEdit(const NodeEdit& e, Env* env, const std::string& dbname) {
-  auto node = std::make_shared<NodeMeta>();
-  node->node_id = e.node_id;
-  node->file_number = e.file_number;
-  node->meta_end = e.meta_end;
-  node->data_bytes = e.data_bytes;
-  node->num_entries = e.num_entries;
-  node->seq_count = e.seq_count;
-  node->range_lo = e.range_lo;
-  node->range_hi = e.range_hi;
-  node->smallest_ikey = e.smallest_ikey;
-  node->largest_ikey = e.largest_ikey;
-  if (e.file_number != 0) {
-    node->lifetime = std::make_shared<FileLifetime>(
-        env, TableFileName(dbname, e.file_number));
-  }
-  return node;
-}
 
 void SortByRange(std::vector<NodePtr>* nodes) {
   std::sort(nodes->begin(), nodes->end(),
@@ -265,28 +246,25 @@ bool AmtEngine::PickCompactionJob(const TreeVersion& version,
     return true;
   }
 
-  // 3. Full internal nodes; split at >= 2t children.  Greedy mode picks
-  //    the fullest node anywhere in the tree (most debt bytes retired per
-  //    job); classic mode takes the first hit deepest level first.
-  const bool greedy = db_->options().greedy_compaction;
+  // 3. Full internal nodes; split at >= 2t children.  Take the fullest
+  //    node anywhere in the tree (most debt bytes retired per job).
   Job best;
-  uint64_t best_bytes = 0;
   for (int level = n - 2; level >= 0; level--) {
     for (const auto& node : version.level(level)) {
       if (node->data_bytes < capacity) continue;
-      if (greedy && node->data_bytes <= best_bytes) continue;
+      if (best.node != nullptr && node->data_bytes <= best.node->data_bytes) {
+        continue;
+      }
       Job probe;
       probe.node = node;
       probe.targets = Children(version, level, *node);
       if (AnyBusy(probe, busy)) continue;
       // Precondition (Sec 4.2.1): an internal child that is itself full
-      // must be flushed first.  The deepest-first scan guarantees that for
-      // the first hit (any such child was handled or is busy, and a busy
-      // child means AnyBusy skipped us) — but the greedy pick compares
-      // across levels, so a shallow node could otherwise be chosen over
-      // its own full child.  Skip such nodes explicitly; the child is a
-      // candidate itself, so progress is preserved.
-      if (greedy && level < n - 2) {
+      // must be flushed first.  The pick compares across levels, so a
+      // shallow node could otherwise be chosen over its own full child.
+      // Skip such nodes; the child is a candidate itself, so progress is
+      // preserved.
+      if (level < n - 2) {
         bool full_internal_child = false;
         for (const auto& t : probe.targets) {
           if (t->data_bytes >= capacity) {
@@ -297,25 +275,22 @@ bool AmtEngine::PickCompactionJob(const TreeVersion& version,
         if (full_internal_child) continue;
       }
       probe.level = level;
-      const double split_at =
-          db_->options().amt.split_child_factor * Fanout();
-      probe.type = probe.targets.size() >= static_cast<size_t>(split_at) &&
-                           probe.targets.size() >= 2
-                       ? Job::Type::kSplit
-                       : Job::Type::kFlushNode;
-      if (!greedy) {
-        *job = probe;
-        return true;
-      }
+      probe.type = FlushOrSplit(probe.targets);
       best = probe;
-      best_bytes = probe.node->data_bytes;
     }
   }
-  if (greedy && best.node != nullptr) {
-    *job = best;
-    return true;
-  }
-  return false;
+  if (best.node == nullptr) return false;
+  *job = best;
+  return true;
+}
+
+AmtEngine::Job::Type AmtEngine::FlushOrSplit(
+    const std::vector<NodePtr>& children) const {
+  const double split_at = db_->options().amt.split_child_factor * Fanout();
+  return children.size() >= static_cast<size_t>(split_at) &&
+                 children.size() >= 2
+             ? Job::Type::kSplit
+             : Job::Type::kFlushNode;
 }
 
 bool AmtEngine::PickFlushJob(const TreeVersion& version, Job* job) {
@@ -351,12 +326,7 @@ bool AmtEngine::PickFlushJob(const TreeVersion& version, Job* job) {
         pre.node = node;
         pre.targets = Children(version, 0, *node);
         if (AnyBusy(pre, busy_nodes_)) return false;  // being handled now
-        const double split_at =
-            db_->options().amt.split_child_factor * Fanout();
-        pre.type = pre.targets.size() >= static_cast<size_t>(split_at) &&
-                           pre.targets.size() >= 2
-                       ? Job::Type::kSplit
-                       : Job::Type::kFlushNode;
+        pre.type = FlushOrSplit(pre.targets);
         *job = pre;
         return true;
       }
@@ -468,22 +438,6 @@ void AmtEngine::ApplyToVersion(
   RecomputeMixedLevel();
 }
 
-NodeEdit AmtEngine::ToEdit(const NodeMeta& node, int level) const {
-  NodeEdit e;
-  e.level = level;
-  e.node_id = node.node_id;
-  e.file_number = node.file_number;
-  e.meta_end = node.meta_end;
-  e.data_bytes = node.data_bytes;
-  e.num_entries = node.num_entries;
-  e.seq_count = node.seq_count;
-  e.range_lo = node.range_lo;
-  e.range_hi = node.range_hi;
-  e.smallest_ikey = node.smallest_ikey;
-  e.largest_ikey = node.largest_ikey;
-  return e;
-}
-
 NodePtr AmtEngine::MakeEmptyNode(uint64_t node_id, const std::string& lo,
                                  const std::string& hi) const {
   auto node = std::make_shared<NodeMeta>();
@@ -538,193 +492,86 @@ Status AmtEngine::FlushOneTarget(const NodePtr& target,
     }
   }
 
-  std::string data_lo = ExtractUserKey(records.front().first).ToString();
-  std::string data_hi = ExtractUserKey(records.back().first).ToString();
+  const std::string data_lo = ExtractUserKey(records.front().first).ToString();
+  const std::string data_hi = ExtractUserKey(records.back().first).ToString();
 
-  if (!do_merge) {
+  frag->removed.emplace_back(tlevel, target->node_id);
+  if (!do_merge && target->file_number != 0) {
     // ---- Append path ----
-    MSTableBuildResult result;
-    Status s;
-    uint64_t file_number = target->file_number;
-    std::shared_ptr<FileLifetime> lifetime = target->lifetime;
-    if (target->file_number == 0) {
-      // Empty placeholder: materialize its first file.
-      {
-        std::lock_guard<std::mutex> l(db_->mutex());
-        file_number = db_->NewFileNumber();
-      }
-      MSTableWriter writer(db_->env(), options.table,
-                           TableFileName(db_->dbname(), file_number));
-      s = writer.Open();
-      for (const auto& [ik, v] : records) {
-        if (!s.ok()) break;
-        s = writer.Add(ik, v);
-      }
-      if (s.ok()) {
-        s = writer.Finish(/*sync=*/true, &result);
-      } else {
-        writer.Abandon();
-      }
-      if (!s.ok()) return s;
-      lifetime = std::make_shared<FileLifetime>(
-          db_->env(), TableFileName(db_->dbname(), file_number));
-    } else {
-      std::shared_ptr<MSTableReader> reader;
-      s = target->OpenReader(db_->env(), options.table, db_->icmp(),
-                             db_->dbname(), &reader);
-      if (!s.ok()) return s;
-      MSTableAppender appender(db_->env(), options.table,
-                               TableFileName(db_->dbname(), file_number),
-                               *reader);
-      s = appender.Open();
-      for (const auto& [ik, v] : records) {
-        if (!s.ok()) break;
-        s = appender.Add(ik, v);
-      }
-      if (s.ok()) {
-        s = appender.Finish(/*sync=*/true, &result);
-      } else {
-        appender.Abandon();
-      }
-      if (!s.ok()) return s;
+    std::shared_ptr<MSTableReader> reader;
+    Status s = target->OpenReader(db_->env(), options.table, db_->icmp(),
+                                  db_->dbname(), &reader);
+    if (!s.ok()) return s;
+    MSTableAppender appender(db_->env(), options.table,
+                             TableFileName(db_->dbname(), target->file_number),
+                             *reader);
+    s = appender.Open();
+    for (const auto& [ik, v] : records) {
+      if (!s.ok()) break;
+      s = appender.Add(ik, v);
     }
+    MSTableBuildResult result;
+    if (s.ok()) s = appender.Finish(/*sync=*/true, &result);
+    if (!s.ok()) return s;
 
-    auto updated = std::make_shared<NodeMeta>();
-    updated->node_id = target->node_id;
-    updated->file_number = file_number;
-    updated->meta_end = result.meta_end;
-    updated->data_bytes = result.data_bytes;
-    updated->num_entries = result.num_entries;
-    updated->seq_count = result.seq_count;
-    updated->smallest_ikey = result.smallest;
-    updated->largest_ikey = result.largest;
+    NodePtr updated =
+        NodeFromBuild(target->node_id, target->file_number, result);
     updated->range_lo = std::min(target->range_lo, data_lo);
     updated->range_hi = std::max(target->range_hi, data_hi);
-    updated->lifetime = std::move(lifetime);
+    updated->lifetime = target->lifetime;
 
     db_->amp_stats_mutable()->RecordLevelWrite(paper_level, append_reason,
                                                result.new_data_bytes);
     db_->amp_stats_mutable()->RecordLevelWrite(
         paper_level, WriteReason::kMetadata, result.meta_bytes);
-
-    frag->removed.emplace_back(tlevel, target->node_id);
     frag->added.emplace_back(tlevel, updated);
-  } else {
-    // ---- Merge path ----
-    std::shared_ptr<MSTableReader> reader;
-    Status s = target->OpenReader(db_->env(), options.table, db_->icmp(),
-                                  db_->dbname(), &reader);
-    if (!s.ok()) return s;
+    return Status::OK();
+  }
 
-    std::vector<Iterator*> iters;
-    iters.push_back(new VectorIterator(&records));
-    iters.back()->SeekToFirst();
-    ReadOptions merge_read;
-    merge_read.fill_cache = false;
-    merge_read.rate_limiter = db_->rate_limiter();
-    reader->AddSequenceIterators(merge_read, &iters);
-    Iterator* merged = NewMergingIterator(db_->icmp(), iters.data(),
-                                          static_cast<int>(iters.size()));
+  // An empty placeholder's first file, or a merge.  Leaf merges shatter
+  // into fresh nodes of Cts = Ct/split_factor (Sec 4.2.1, Fig. 4);
+  // internal merges produce one single-sequence node (Sec 5.1.1).
+  const uint64_t cut_bytes =
+      do_merge && is_leaf ? capacity / options.amt.leaf_merge_split_factor
+                          : UINT64_MAX;
+  NodeWriter writer(db_, cut_bytes);
+  Status s;
+  if (!do_merge) {
+    // The placeholder keeps its node id; the records go in as they are.
+    writer.set_first_node_id(target->node_id);
+    for (const auto& [ik, v] : records) {
+      s = writer.Add(ik, v);
+      if (!s.ok()) return s;
+    }
+  } else {
+    Iterator* merged;
+    s = NewCompactionInput(db_, {target}, {new VectorIterator(&records)},
+                           &merged);
+    if (!s.ok()) return s;
     CompactionStream stream(merged, smallest_snapshot,
                             /*bottommost=*/is_leaf);
-
-    // Leaf merges shatter into fresh nodes of Cts = Ct/split_factor
-    // (Sec 4.2.1, Fig. 4); internal merges produce one single-sequence
-    // node (Sec 5.1.1).
-    const uint64_t cut_bytes =
-        is_leaf ? capacity / options.amt.leaf_merge_split_factor
-                : UINT64_MAX;
-
-    std::vector<NodePtr> outputs;
-    std::unique_ptr<MSTableWriter> writer;
-    uint64_t out_file = 0, out_node = 0;
-    uint64_t written = 0, meta_written = 0;
-    auto finish_output = [&]() -> Status {
-      if (writer == nullptr) return Status::OK();
-      MSTableBuildResult result;
-      Status fs = writer->Finish(/*sync=*/true, &result);
-      if (!fs.ok()) return fs;
-      auto node = std::make_shared<NodeMeta>();
-      node->node_id = out_node;
-      node->file_number = out_file;
-      node->meta_end = result.meta_end;
-      node->data_bytes = result.data_bytes;
-      node->num_entries = result.num_entries;
-      node->seq_count = result.seq_count;
-      node->smallest_ikey = result.smallest;
-      node->largest_ikey = result.largest;
-      node->range_lo = ExtractUserKey(result.smallest).ToString();
-      node->range_hi = ExtractUserKey(result.largest).ToString();
-      node->lifetime = std::make_shared<FileLifetime>(
-          db_->env(), TableFileName(db_->dbname(), out_file));
-      outputs.push_back(std::move(node));
-      written += result.data_bytes;
-      meta_written += result.meta_bytes;
-      writer.reset();
-      return Status::OK();
-    };
-
-    std::string last_user_key;
-    while (stream.Valid() && s.ok()) {
-      Slice user_key = ExtractUserKey(stream.key());
-      // Cut only at user-key boundaries so node ranges in a level stay
-      // user-key-disjoint (point reads pick exactly one node per level).
-      if (writer != nullptr &&
-          writer->EstimatedDataBytes() >= cut_bytes &&
-          user_key != Slice(last_user_key)) {
-        s = finish_output();
-        if (!s.ok()) break;
-      }
-      if (writer == nullptr) {
-        {
-          std::lock_guard<std::mutex> l(db_->mutex());
-          out_file = db_->NewFileNumber();
-          out_node = db_->NewNodeId();
-        }
-        writer = std::make_unique<MSTableWriter>(
-            db_->env(), options.table,
-            TableFileName(db_->dbname(), out_file));
-        s = writer->Open();
-        if (!s.ok()) break;
-      }
-      s = writer->Add(stream.key(), stream.value());
-      if (!s.ok()) break;
-      last_user_key.assign(user_key.data(), user_key.size());
-      stream.Next();
-    }
-    if (s.ok()) s = stream.status();
-    if (s.ok()) {
-      s = finish_output();
-    } else if (writer != nullptr) {
-      writer->Abandon();
-    }
-    if (!s.ok()) {
-      for (const auto& node : outputs) {
-        if (node->lifetime) node->lifetime->MarkObsolete();
-      }
-      return s;
-    }
-
-    // Preserve the child's range coverage on the outer outputs.
-    if (!outputs.empty()) {
-      outputs.front()->range_lo =
-          std::min(outputs.front()->range_lo,
-                   std::min(target->range_lo, data_lo));
-      outputs.back()->range_hi = std::max(
-          outputs.back()->range_hi, std::max(target->range_hi, data_hi));
-    }
-
-    db_->amp_stats_mutable()->RecordLevelWrite(paper_level,
-                                               WriteReason::kMerge, written);
-    db_->amp_stats_mutable()->RecordLevelWrite(
-        paper_level, WriteReason::kMetadata, meta_written);
-
-    frag->removed.emplace_back(tlevel, target->node_id);
-    if (target->lifetime) frag->obsolete.push_back(target->lifetime);
-    for (const auto& node : outputs) {
-      frag->added.emplace_back(tlevel, node);
-    }
+    s = writer.AddStream(&stream);
   }
+  if (s.ok()) s = writer.Finish();
+  if (!s.ok()) return s;
+
+  // Preserve the child's range coverage on the outer outputs.
+  const std::vector<NodePtr>& outputs = writer.outputs();
+  if (!outputs.empty()) {
+    outputs.front()->range_lo = std::min(
+        outputs.front()->range_lo, std::min(target->range_lo, data_lo));
+    outputs.back()->range_hi = std::max(
+        outputs.back()->range_hi, std::max(target->range_hi, data_hi));
+  }
+
+  db_->amp_stats_mutable()->RecordLevelWrite(
+      paper_level, do_merge ? WriteReason::kMerge : append_reason,
+      writer.data_bytes());
+  db_->amp_stats_mutable()->RecordLevelWrite(
+      paper_level, WriteReason::kMetadata, writer.meta_bytes());
+
+  if (target->lifetime) frag->obsolete.push_back(target->lifetime);
+  for (const auto& node : outputs) frag->added.emplace_back(tlevel, node);
   return Status::OK();
 }
 
@@ -770,15 +617,8 @@ Status AmtEngine::FlushInto(CompactionStream* source, int tlevel,
   // this across engines).
   std::vector<FlushDelta> fragments(targets.size());
   std::vector<size_t> work;
-  std::vector<uint64_t> work_bytes;
-  uint64_t total_bytes = 0;
   for (size_t i = 0; i < targets.size(); i++) {
-    if (partitions[i].empty()) continue;
-    uint64_t bytes = 0;
-    for (const auto& [ik, v] : partitions[i]) bytes += ik.size() + v.size();
-    work.push_back(i);
-    work_bytes.push_back(bytes);
-    total_bytes += bytes;
+    if (!partitions[i].empty()) work.push_back(i);
   }
 
   int fan = options.max_subcompactions > 0 ? options.max_subcompactions
@@ -795,19 +635,14 @@ Status AmtEngine::FlushInto(CompactionStream* source, int tlevel,
   } else {
     // Contiguous groups balanced by partition bytes: each group is one
     // pool task, so a skewed partition doesn't serialize behind one shard.
-    std::vector<std::vector<size_t>> groups;
-    groups.emplace_back();
-    uint64_t per_group = total_bytes / fan + 1;
-    uint64_t acc = 0;
-    for (size_t w = 0; w < work.size(); w++) {
-      if (acc >= per_group &&
-          static_cast<int>(groups.size()) < fan) {
-        groups.emplace_back();
-        acc = 0;
-      }
-      groups.back().push_back(work[w]);
-      acc += work_bytes[w];
-    }
+    const std::vector<std::vector<size_t>> groups =
+        BalancedGroups(work, fan, [&partitions](size_t i) {
+          uint64_t bytes = 0;
+          for (const auto& [ik, v] : partitions[i]) {
+            bytes += ik.size() + v.size();
+          }
+          return bytes;
+        });
 
     const RateLimiter::IoPriority prio = lane == WorkLane::kFlush
                                              ? RateLimiter::IoPriority::kHigh
@@ -898,58 +733,23 @@ Status AmtEngine::RunFlushImm(const Job& job, WorkLane lane) {
   Status s;
   if (job.targets.empty()) {
     // No L1 nodes overlap (or none exist): the memtable becomes one new L1
-    // node, written exactly once — the sequential-load fast path.
-    uint64_t file_number, node_id;
-    {
-      std::lock_guard<std::mutex> l(db_->mutex());
-      file_number = db_->NewFileNumber();
-      node_id = db_->NewNodeId();
-    }
-    MSTableWriter writer(db_->env(), db_->options().table,
-                         TableFileName(db_->dbname(), file_number));
-    s = writer.Open();
-    MSTableBuildResult result;
-    uint64_t records_added = 0;
-    if (s.ok()) {
-      CompactionStream stream(imm->NewIterator(), smallest_snapshot,
-                              /*bottommost=*/n <= 1);
-      while (stream.Valid() && s.ok()) {
-        s = writer.Add(stream.key(), stream.value());
-        records_added++;
-        stream.Next();
+    // node, written exactly once — the sequential-load fast path.  When
+    // the bottommost stream elides every record there is no file at all;
+    // the edit below still advances the log number so the WAL can go.
+    NodeWriter writer(db_, /*cut_bytes=*/UINT64_MAX);
+    CompactionStream stream(imm->NewIterator(), smallest_snapshot,
+                            /*bottommost=*/n <= 1);
+    s = writer.AddStream(&stream);
+    if (s.ok()) s = writer.Finish();
+    if (s.ok() && !writer.outputs().empty()) {
+      for (const auto& node : writer.outputs()) {
+        delta.added.emplace_back(0, node);
+        delta.edit.AddNode(ToEdit(*node, 0));
       }
-      if (s.ok()) s = stream.status();
-      if (s.ok() && records_added == 0) {
-        // Every record was a tombstone elided by the bottommost stream:
-        // there is nothing to install.  Drop the file; the edit below
-        // still advances the log number so the WAL can be released.
-        writer.Abandon();
-      } else if (s.ok()) {
-        s = writer.Finish(/*sync=*/true, &result);
-      } else {
-        writer.Abandon();
-      }
-    }
-    if (s.ok() && records_added > 0) {
-      auto node = std::make_shared<NodeMeta>();
-      node->node_id = node_id;
-      node->file_number = file_number;
-      node->meta_end = result.meta_end;
-      node->data_bytes = result.data_bytes;
-      node->num_entries = result.num_entries;
-      node->seq_count = result.seq_count;
-      node->smallest_ikey = result.smallest;
-      node->largest_ikey = result.largest;
-      node->range_lo = ExtractUserKey(result.smallest).ToString();
-      node->range_hi = ExtractUserKey(result.largest).ToString();
-      node->lifetime = std::make_shared<FileLifetime>(
-          db_->env(), TableFileName(db_->dbname(), file_number));
-      delta.added.emplace_back(0, node);
-      delta.edit.AddNode(ToEdit(*node, 0));
       db_->amp_stats_mutable()->RecordLevelWrite(1, WriteReason::kFlush,
-                                                 result.new_data_bytes);
+                                                 writer.data_bytes());
       db_->amp_stats_mutable()->RecordLevelWrite(1, WriteReason::kMetadata,
-                                                 result.meta_bytes);
+                                                 writer.meta_bytes());
     }
   } else {
     CompactionStream stream(imm->NewIterator(), smallest_snapshot,
@@ -1010,70 +810,28 @@ Status AmtEngine::RunFlushNode(const Job& job, bool destroy_parent,
 
   db_->mutex().unlock();
 
-  Status s;
   FlushDelta delta;
   delta.new_num_levels = n;
-  {
-    // Load the node's records: merge its sequences in memory (Sec 4.2.1).
-    std::shared_ptr<MSTableReader> reader;
-    s = node->OpenReader(db_->env(), db_->options().table, db_->icmp(),
-                         db_->dbname(), &reader);
-    if (!s.ok()) {
-      db_->mutex().lock();
-      return s;
-    }
-    std::vector<Iterator*> iters;
-    ReadOptions merge_read;
-    merge_read.fill_cache = false;
-    merge_read.rate_limiter = db_->rate_limiter();
-    reader->AddSequenceIterators(merge_read, &iters);
-    Iterator* merged = NewMergingIterator(db_->icmp(), iters.data(),
-                                          static_cast<int>(iters.size()));
+  // Load the node's records: merge its sequences in memory (Sec 4.2.1).
+  Iterator* merged;
+  Status s = NewCompactionInput(db_, {node}, {}, &merged);
+  if (s.ok()) {
     CompactionStream stream(merged, smallest_snapshot, /*bottommost=*/false);
-
     if (job.targets.empty()) {
       // FLSM emulation: rewrite the records into a fresh node one level
       // down instead of moving metadata (Sec 6.8's comparison).
-      uint64_t file_number, node_id;
-      {
-        std::lock_guard<std::mutex> l(db_->mutex());
-        file_number = db_->NewFileNumber();
-        node_id = db_->NewNodeId();
-      }
-      MSTableWriter writer(db_->env(), db_->options().table,
-                           TableFileName(db_->dbname(), file_number));
-      s = writer.Open();
-      MSTableBuildResult result;
-      while (stream.Valid() && s.ok()) {
-        s = writer.Add(stream.key(), stream.value());
-        stream.Next();
-      }
-      if (s.ok()) s = stream.status();
+      NodeWriter writer(db_, /*cut_bytes=*/UINT64_MAX);
+      s = writer.AddStream(&stream);
+      if (s.ok()) s = writer.Finish();
       if (s.ok()) {
-        s = writer.Finish(/*sync=*/true, &result);
-      } else {
-        writer.Abandon();
-      }
-      if (s.ok()) {
-        auto out = std::make_shared<NodeMeta>();
-        out->node_id = node_id;
-        out->file_number = file_number;
-        out->meta_end = result.meta_end;
-        out->data_bytes = result.data_bytes;
-        out->num_entries = result.num_entries;
-        out->seq_count = result.seq_count;
-        out->smallest_ikey = result.smallest;
-        out->largest_ikey = result.largest;
-        out->range_lo = std::min(node->range_lo,
-                                 ExtractUserKey(result.smallest).ToString());
-        out->range_hi = std::max(node->range_hi,
-                                 ExtractUserKey(result.largest).ToString());
-        out->lifetime = std::make_shared<FileLifetime>(
-            db_->env(), TableFileName(db_->dbname(), file_number));
-        delta.added.emplace_back(level + 1, out);
-        delta.edit.AddNode(ToEdit(*out, level + 1));
+        for (const auto& out : writer.outputs()) {
+          out->range_lo = std::min(node->range_lo, out->range_lo);
+          out->range_hi = std::max(node->range_hi, out->range_hi);
+          delta.added.emplace_back(level + 1, out);
+          delta.edit.AddNode(ToEdit(*out, level + 1));
+        }
         db_->amp_stats_mutable()->RecordLevelWrite(
-            level + 2, WriteReason::kMerge, result.data_bytes);
+            level + 2, WriteReason::kMerge, writer.data_bytes());
       }
       destroy_parent = true;  // the rewrite replaces the move
     } else {
@@ -1119,93 +877,39 @@ Status AmtEngine::RunSplit(const Job& job) {
 
   db_->mutex().unlock();
 
-  std::shared_ptr<MSTableReader> reader;
-  Status s = node->OpenReader(db_->env(), db_->options().table, db_->icmp(),
-                              db_->dbname(), &reader);
+  // One file each side of the boundary.  The left one keeps the node's
+  // lower bound, the right one its upper bound.
   FlushDelta delta;
-  uint64_t written = 0, meta_written = 0;
+  Iterator* merged;
+  Status s = NewCompactionInput(db_, {node}, {}, &merged);
   if (s.ok()) {
-    std::vector<Iterator*> iters;
-    ReadOptions merge_read;
-    merge_read.fill_cache = false;
-    merge_read.rate_limiter = db_->rate_limiter();
-    reader->AddSequenceIterators(merge_read, &iters);
-    Iterator* merged = NewMergingIterator(db_->icmp(), iters.data(),
-                                          static_cast<int>(iters.size()));
+    NodeWriter writer(db_, /*cut_bytes=*/UINT64_MAX);
     CompactionStream stream(merged, smallest_snapshot, /*bottommost=*/false);
-
-    for (int side = 0; side < 2 && s.ok(); side++) {
-      std::unique_ptr<MSTableWriter> writer;
-      uint64_t out_file = 0, out_node = 0;
-      MSTableBuildResult result;
-      bool wrote_any = false;
-      while (stream.Valid() && s.ok()) {
-        Slice user_key = ExtractUserKey(stream.key());
-        bool left = user_key.compare(boundary) < 0;
-        if (side == 0 && !left) break;  // right side starts
-        if (writer == nullptr) {
-          {
-            std::lock_guard<std::mutex> l(db_->mutex());
-            out_file = db_->NewFileNumber();
-            out_node = db_->NewNodeId();
-          }
-          writer = std::make_unique<MSTableWriter>(
-              db_->env(), db_->options().table,
-              TableFileName(db_->dbname(), out_file));
-          s = writer->Open();
-          if (!s.ok()) break;
+    const Slice boundary_key(boundary);
+    s = writer.AddStream(&stream, &boundary_key);
+    if (s.ok()) s = writer.Cut();
+    if (s.ok()) s = writer.AddStream(&stream);
+    if (s.ok()) s = writer.Finish();
+    if (s.ok()) {
+      for (const auto& out : writer.outputs()) {
+        if (out->range_lo < boundary) {
+          out->range_lo = std::min(out->range_lo, node->range_lo);
+        } else {
+          out->range_hi = std::max(out->range_hi, node->range_hi);
         }
-        s = writer->Add(stream.key(), stream.value());
-        wrote_any = true;
-        stream.Next();
+        delta.added.emplace_back(level, out);
+        delta.edit.AddNode(ToEdit(*out, level));
       }
-      if (s.ok()) s = stream.status();
-      if (s.ok() && wrote_any) {
-        s = writer->Finish(/*sync=*/true, &result);
-        if (s.ok()) {
-          auto out = std::make_shared<NodeMeta>();
-          out->node_id = out_node;
-          out->file_number = out_file;
-          out->meta_end = result.meta_end;
-          out->data_bytes = result.data_bytes;
-          out->num_entries = result.num_entries;
-          out->seq_count = result.seq_count;
-          out->smallest_ikey = result.smallest;
-          out->largest_ikey = result.largest;
-          out->range_lo = ExtractUserKey(result.smallest).ToString();
-          out->range_hi = ExtractUserKey(result.largest).ToString();
-          if (side == 0) {
-            out->range_lo = std::min(out->range_lo, node->range_lo);
-          } else {
-            out->range_hi = std::max(out->range_hi, node->range_hi);
-          }
-          out->lifetime = std::make_shared<FileLifetime>(
-              db_->env(), TableFileName(db_->dbname(), out_file));
-          delta.added.emplace_back(level, out);
-          delta.edit.AddNode(ToEdit(*out, level));
-          written += result.data_bytes;
-          meta_written += result.meta_bytes;
-        }
-      } else if (writer != nullptr) {
-        writer->Abandon();
-      }
+      db_->amp_stats_mutable()->RecordLevelWrite(
+          level + 1, WriteReason::kSplit, writer.data_bytes());
+      db_->amp_stats_mutable()->RecordLevelWrite(
+          level + 1, WriteReason::kMetadata, writer.meta_bytes());
     }
   }
 
   db_->mutex().lock();
-  if (!s.ok()) {
-    for (const auto& [lvl, out] : delta.added) {
-      (void)lvl;
-      if (out->lifetime) out->lifetime->MarkObsolete();
-    }
-    return s;
-  }
+  if (!s.ok()) return s;
 
-  db_->amp_stats_mutable()->RecordLevelWrite(level + 1, WriteReason::kSplit,
-                                             written);
-  db_->amp_stats_mutable()->RecordLevelWrite(level + 1,
-                                             WriteReason::kMetadata,
-                                             meta_written);
   delta.edit.RemoveNode(level, node->node_id);
   delta.removed.emplace_back(level, node->node_id);
   if (node->lifetime) delta.obsolete.push_back(node->lifetime);

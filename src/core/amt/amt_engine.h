@@ -115,6 +115,9 @@ class AmtEngine final : public TreeEngine {
   bool PickCompactionJob(const TreeVersion& version,
                          const std::set<uint64_t>& busy, Job* job) const;
   bool PickFlushJob(const TreeVersion& version, Job* job);
+  // A full node flushes into its children, or splits once it has
+  // split_child_factor * fanout of them (Sec 4.2.2).
+  Job::Type FlushOrSplit(const std::vector<NodePtr>& children) const;
 
   static bool AnyBusy(const Job& job, const std::set<uint64_t>& busy);
   static void MarkBusyIn(const Job& job, std::set<uint64_t>* busy);
@@ -157,7 +160,6 @@ class AmtEngine final : public TreeEngine {
 
   void RecomputeMixedLevel();
 
-  NodeEdit ToEdit(const NodeMeta& node, int level) const;
   NodePtr MakeEmptyNode(uint64_t node_id, const std::string& lo,
                         const std::string& hi) const;
 

@@ -1,7 +1,7 @@
 // Adaptive compaction pacing: a feedback controller between the write path
 // and the background RateLimiter.
 //
-// The static compaction_rate_limit trades an order of magnitude of
+// A static budget (PacingOptions::Pinned) trades an order of magnitude of
 // throughput for smoothness (BENCH_compaction_scaling.json): a budget low
 // enough to keep merges from saturating the device is also low enough that
 // debt piles up and the write path stalls.  The pacer closes the loop

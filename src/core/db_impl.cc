@@ -73,9 +73,6 @@ DBImpl::DBImpl(const Options& options, const std::string& dbname)
         std::make_unique<RateLimiter>(options.pacing.max_bytes_per_sec);
     pacer_ = std::make_unique<CompactionPacer>(options.pacing,
                                                rate_limiter_.get());
-    options_.table.rate_limiter = rate_limiter_.get();
-  } else if (options.compaction_rate_limit > 0) {
-    rate_limiter_ = std::make_unique<RateLimiter>(options.compaction_rate_limit);
     // Table builds during flush/merge pace their block writes; user writes
     // go through the WAL + memtable and are never paced.
     options_.table.rate_limiter = rate_limiter_.get();

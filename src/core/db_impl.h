@@ -111,7 +111,7 @@ class DBImpl final : public DB {
 
   // Shared background pool (engines fan subcompaction shards out on it; see
   // util/task_group.h for why that can't deadlock) and the background I/O
-  // budget (null when compaction_rate_limit == 0).  No mutex needed.
+  // budget (null unless pacing.adaptive).  No mutex needed.
   ThreadPool* pool() { return pool_.get(); }
   RateLimiter* rate_limiter() { return rate_limiter_.get(); }
 

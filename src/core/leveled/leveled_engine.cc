@@ -6,9 +6,8 @@
 
 #include "core/compaction_stream.h"
 #include "core/db_impl.h"
-#include "core/filename.h"
 #include "core/level_iters.h"
-#include "table/merging_iterator.h"
+#include "core/node_writer.h"
 #include "util/rate_limiter.h"
 #include "util/task_group.h"
 
@@ -29,25 +28,6 @@ void SortLevel(std::vector<NodePtr>* nodes, int level) {
                 return a->range_lo < b->range_lo;
               });
   }
-}
-
-NodePtr NodeFromEdit(const NodeEdit& e, Env* env, const std::string& dbname) {
-  auto node = std::make_shared<NodeMeta>();
-  node->node_id = e.node_id;
-  node->file_number = e.file_number;
-  node->meta_end = e.meta_end;
-  node->data_bytes = e.data_bytes;
-  node->num_entries = e.num_entries;
-  node->seq_count = e.seq_count;
-  node->range_lo = e.range_lo;
-  node->range_hi = e.range_hi;
-  node->smallest_ikey = e.smallest_ikey;
-  node->largest_ikey = e.largest_ikey;
-  if (e.file_number != 0) {
-    node->lifetime = std::make_shared<FileLifetime>(
-        env, TableFileName(dbname, e.file_number));
-  }
-  return node;
 }
 
 }  // namespace
@@ -211,22 +191,6 @@ Status LeveledEngine::BackgroundWork(WorkLane lane, bool* did_work) {
   return s;
 }
 
-NodeEdit LeveledEngine::ToEdit(const NodeMeta& node, int level) const {
-  NodeEdit e;
-  e.level = level;
-  e.node_id = node.node_id;
-  e.file_number = node.file_number;
-  e.meta_end = node.meta_end;
-  e.data_bytes = node.data_bytes;
-  e.num_entries = node.num_entries;
-  e.seq_count = node.seq_count;
-  e.range_lo = node.range_lo;
-  e.range_hi = node.range_hi;
-  e.smallest_ikey = node.smallest_ikey;
-  e.largest_ikey = node.largest_ikey;
-  return e;
-}
-
 void LeveledEngine::ApplyToVersion(const std::vector<NodePtr>& removed,
                                    const std::vector<NodePtr>& added,
                                    int add_level) {
@@ -255,58 +219,36 @@ Status LeveledEngine::FlushImm() {
   assert(imm != nullptr);
   imm->Ref();
   SequenceNumber smallest_snapshot = db_->SmallestSnapshot();
-  uint64_t file_number = db_->NewFileNumber();
-  uint64_t node_id = db_->NewNodeId();
 
   db_->mutex().unlock();
-  // Build one L0 table from the whole memtable.
-  MSTableWriter writer(db_->env(), db_->options().table,
-                       TableFileName(db_->dbname(), file_number));
-  Status s = writer.Open();
-  MSTableBuildResult result;
-  if (s.ok()) {
+  // Build one L0 table from the whole memtable.  Flushes run one at a
+  // time, so L0 node ids increase in flush order (SortLevel).
+  Status s;
+  std::vector<NodePtr> outputs;
+  {
+    NodeWriter writer(db_, /*cut_bytes=*/UINT64_MAX);
     CompactionStream stream(imm->NewIterator(), smallest_snapshot,
                             /*bottommost=*/false);
-    while (stream.Valid() && s.ok()) {
-      s = writer.Add(stream.key(), stream.value());
-      stream.Next();
-    }
-    if (s.ok()) s = stream.status();
+    s = writer.AddStream(&stream);
+    if (s.ok()) s = writer.Finish();
     if (s.ok()) {
-      s = writer.Finish(/*sync=*/true, &result);
-    } else {
-      writer.Abandon();
+      outputs = writer.outputs();
+      db_->amp_stats_mutable()->RecordLevelWrite(0, WriteReason::kFlush,
+                                                 writer.data_bytes());
+      db_->amp_stats_mutable()->RecordLevelWrite(0, WriteReason::kMetadata,
+                                                 writer.meta_bytes());
     }
   }
   imm->Unref();
   db_->mutex().lock();
   if (!s.ok()) return s;
 
-  auto node = std::make_shared<NodeMeta>();
-  node->node_id = node_id;
-  node->file_number = file_number;
-  node->meta_end = result.meta_end;
-  node->data_bytes = result.data_bytes;
-  node->num_entries = result.num_entries;
-  node->seq_count = result.seq_count;
-  node->smallest_ikey = result.smallest;
-  node->largest_ikey = result.largest;
-  node->range_lo = ExtractUserKey(result.smallest).ToString();
-  node->range_hi = ExtractUserKey(result.largest).ToString();
-  node->lifetime = std::make_shared<FileLifetime>(
-      db_->env(), TableFileName(db_->dbname(), file_number));
-
-  db_->amp_stats_mutable()->RecordLevelWrite(0, WriteReason::kFlush,
-                                             result.new_data_bytes);
-  db_->amp_stats_mutable()->RecordLevelWrite(0, WriteReason::kMetadata,
-                                             result.meta_bytes);
-
   VersionEdit edit;
-  edit.AddNode(ToEdit(*node, 0));
+  for (const auto& node : outputs) edit.AddNode(ToEdit(*node, 0));
   edit.SetLogNumber(db_->CurrentLogNumber());
   s = db_->LogEdit(&edit);
   if (!s.ok()) return s;
-  ApplyToVersion({}, {node}, 0);
+  ApplyToVersion({}, outputs, 0);
   db_->ImmFlushed();
   return Status::OK();
 }
@@ -329,30 +271,11 @@ Status LeveledEngine::CompactSubrange(
     const std::string* stop, SequenceNumber smallest_snapshot, bool bottommost,
     std::vector<NodePtr>* outputs, uint64_t* written_bytes,
     uint64_t* meta_bytes) {
-  const Options& options = db_->options();
-
-  Status s;
-  std::vector<Iterator*> input_iters;
-  ReadOptions read_options;
-  read_options.fill_cache = false;
-  read_options.rate_limiter = db_->rate_limiter();
-  for (const auto* inputs : {&inputs0, &inputs1_group}) {
-    for (const auto& node : *inputs) {
-      std::shared_ptr<MSTableReader> reader;
-      s = node->OpenReader(db_->env(), options.table, db_->icmp(),
-                           db_->dbname(), &reader);
-      if (!s.ok()) break;
-      reader->AddSequenceIterators(read_options, &input_iters);
-    }
-    if (!s.ok()) break;
-  }
-  if (!s.ok()) {
-    for (Iterator* iter : input_iters) delete iter;
-    return s;
-  }
-
-  Iterator* merged = NewMergingIterator(db_->icmp(), input_iters.data(),
-                                        static_cast<int>(input_iters.size()));
+  std::vector<NodePtr> inputs = inputs0;
+  inputs.insert(inputs.end(), inputs1_group.begin(), inputs1_group.end());
+  Iterator* merged;
+  Status s = NewCompactionInput(db_, inputs, {}, &merged);
+  if (!s.ok()) return s;
   std::unique_ptr<CompactionStream> stream;
   if (start != nullptr) {
     stream = std::make_unique<CompactionStream>(merged, smallest_snapshot,
@@ -362,72 +285,18 @@ Status LeveledEngine::CompactSubrange(
                                                 bottommost);
   }
 
-  std::unique_ptr<MSTableWriter> writer;
-  uint64_t out_file_number = 0, out_node_id = 0;
-  MSTableBuildResult result;
-  auto finish_output = [&]() -> Status {
-    if (writer == nullptr) return Status::OK();
-    Status fs = writer->Finish(/*sync=*/true, &result);
-    if (!fs.ok()) return fs;
-    auto node = std::make_shared<NodeMeta>();
-    node->node_id = out_node_id;
-    node->file_number = out_file_number;
-    node->meta_end = result.meta_end;
-    node->data_bytes = result.data_bytes;
-    node->num_entries = result.num_entries;
-    node->seq_count = result.seq_count;
-    node->smallest_ikey = result.smallest;
-    node->largest_ikey = result.largest;
-    node->range_lo = ExtractUserKey(result.smallest).ToString();
-    node->range_hi = ExtractUserKey(result.largest).ToString();
-    node->lifetime = std::make_shared<FileLifetime>(
-        db_->env(), TableFileName(db_->dbname(), out_file_number));
-    outputs->push_back(std::move(node));
-    *written_bytes += result.data_bytes;
-    *meta_bytes += result.meta_bytes;
-    writer.reset();
-    return Status::OK();
-  };
-
-  std::string last_user_key;
-  while (stream->Valid() && s.ok()) {
-    Slice user_key = ExtractUserKey(stream->key());
-    // The boundary key itself belongs to the next shard (its stream seeks
-    // to the key's newest version, so no record is emitted twice).
-    if (stop != nullptr && user_key.compare(Slice(*stop)) >= 0) break;
-    // Cut outputs only at user-key boundaries: all versions of a key
-    // stay in one file, keeping level ranges user-key-disjoint (the
-    // invariant the point-read binary search relies on).
-    if (writer != nullptr &&
-        writer->EstimatedDataBytes() >= options.leveled.target_file_size &&
-        user_key != Slice(last_user_key)) {
-      s = finish_output();
-      if (!s.ok()) break;
-    }
-    if (writer == nullptr) {
-      {
-        std::lock_guard<std::mutex> l(db_->mutex());
-        out_file_number = db_->NewFileNumber();
-        out_node_id = db_->NewNodeId();
-      }
-      writer = std::make_unique<MSTableWriter>(
-          db_->env(), options.table,
-          TableFileName(db_->dbname(), out_file_number));
-      s = writer->Open();
-      if (!s.ok()) break;
-    }
-    s = writer->Add(stream->key(), stream->value());
-    if (!s.ok()) break;
-    last_user_key.assign(user_key.data(), user_key.size());
-    stream->Next();
-  }
-  if (s.ok()) s = stream->status();
-  if (s.ok()) {
-    s = finish_output();
-  } else if (writer != nullptr) {
-    writer->Abandon();
-  }
-  return s;
+  // The boundary key itself belongs to the next shard (its stream seeks
+  // to the key's newest version, so no record is emitted twice).
+  NodeWriter writer(db_, db_->options().leveled.target_file_size);
+  const Slice stop_key = stop != nullptr ? Slice(*stop) : Slice();
+  s = writer.AddStream(stream.get(), stop != nullptr ? &stop_key : nullptr);
+  if (s.ok()) s = writer.Finish();
+  if (!s.ok()) return s;
+  outputs->insert(outputs->end(), writer.outputs().begin(),
+                  writer.outputs().end());
+  *written_bytes += writer.data_bytes();
+  *meta_bytes += writer.meta_bytes();
+  return Status::OK();
 }
 
 Status LeveledEngine::CompactLevel(int level) {
@@ -551,25 +420,13 @@ Status LeveledEngine::CompactLevel(int level) {
     s = CompactSubrange(inputs0, inputs1, nullptr, nullptr, smallest_snapshot,
                         bottommost, &outputs, &written_bytes, &meta_bytes);
   } else {
-    // Contiguous groups of inputs1 balanced by data bytes.
-    uint64_t total = 0;
-    for (const auto& node : inputs1) total += node->data_bytes;
-    std::vector<std::vector<NodePtr>> groups;
-    groups.emplace_back();
-    uint64_t per_group = total / fan + 1;
-    uint64_t acc = 0;
-    for (const auto& node : inputs1) {
-      if (acc >= per_group && static_cast<int>(groups.size()) < fan) {
-        groups.emplace_back();
-        acc = 0;
-      }
-      groups.back().push_back(node);
-      acc += node->data_bytes;
-    }
-    const size_t num_groups = groups.size();
-    // Shard boundaries: each non-first group starts at its first node's
+    // Contiguous groups of inputs1 balanced by data bytes.  Shard
+    // boundaries: each non-first group starts at its first node's
     // range_lo.  inputs0 records below the first boundary go to shard 0,
     // and each record lands in exactly one shard.
+    const std::vector<std::vector<NodePtr>> groups = BalancedGroups(
+        inputs1, fan, [](const NodePtr& node) { return node->data_bytes; });
+    const size_t num_groups = groups.size();
     std::vector<std::string> starts(num_groups);
     for (size_t g = 1; g < num_groups; g++) {
       starts[g] = groups[g].front()->range_lo;

@@ -83,7 +83,6 @@ class LeveledEngine final : public TreeEngine {
   std::vector<NodePtr> OverlappingInputs(const TreeVersion& version, int level,
                                          const Slice& lo_user,
                                          const Slice& hi_user) const;
-  NodeEdit ToEdit(const NodeMeta& node, int level) const;
 
   DBImpl* db_;
   // Stores happen at open time or under the DB mutex (ApplyToVersion) —

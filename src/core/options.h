@@ -134,16 +134,26 @@ struct ArbiterOptions {
   uint64_t min_lookups_per_interval = 64;
 };
 
-// Adaptive compaction pacing (see core/compaction_pacer.h).  When enabled
-// the fixed compaction_rate_limit is replaced by a controller that measures
-// the sustained ingest/compaction load and the engine's outstanding
-// compaction debt and retunes the token bucket: at low debt merges are
-// paced just above the measured load (smooth, no device saturation); as
-// debt climbs toward debt_high_bytes the budget opens linearly up to
-// max_bytes_per_sec so debt stays bounded instead of snowballing into
-// write stalls.
+// Compaction pacing (see core/compaction_pacer.h): the background
+// (compaction + flush) I/O budget.  When enabled a controller measures the
+// sustained ingest/compaction load and the engine's outstanding compaction
+// debt and retunes the token bucket: at low debt merges are paced just
+// above the measured load (smooth, no device saturation); as debt climbs
+// toward debt_high_bytes the budget opens linearly up to max_bytes_per_sec
+// so debt stays bounded instead of snowballing into write stalls.  Flush
+// I/O has priority over merge I/O inside the budget (util/rate_limiter.h).
+// Disabled, background I/O is unpaced.
 struct PacingOptions {
   bool adaptive = false;
+
+  // A static budget: with min == max every target, and the escalation,
+  // clamps to bytes_per_sec, and the bucket starts there.
+  static PacingOptions Pinned(uint64_t bytes_per_sec) {
+    PacingOptions p;
+    p.adaptive = true;
+    p.min_bytes_per_sec = p.max_bytes_per_sec = bytes_per_sec;
+    return p;
+  }
 
   // Clamp range for the adaptive budget.  The bucket starts at max (the
   // unpaced behaviour) and is paced down as the controller learns.
@@ -190,18 +200,14 @@ struct Options {
   // by subcompaction_test across all three engines.
   int max_subcompactions = 0;
 
-  // Background (compaction + flush) I/O budget in bytes/sec; 0 = unpaced.
-  // Flush I/O has priority over merge I/O inside the budget (see
-  // util/rate_limiter.h).  Ignored when pacing.adaptive is set — the pacer
-  // owns the budget then.
-  uint64_t compaction_rate_limit = 0;
-
-  // Adaptive replacement for compaction_rate_limit (see PacingOptions).
+  // Background I/O budget (see PacingOptions); unpaced by default.
   PacingOptions pacing;
 
-  // Background job selection: pick the compaction that retires the most
-  // debt bytes first (greedy) instead of fixed scan/round-robin order.
-  // Applies to all engines; see docs/CONCURRENCY.md.
+  // Leveled-engine job selection: pick the compaction that retires the
+  // most debt bytes first (greedy), or false for LevelDB's own picker
+  // (fixed score order, round-robin within a level) -- the lax LevelDB
+  // flavour of the paper's Sec 6.2.  The AMT engine always picks greedily.
+  // See docs/CONCURRENCY.md.
   bool greedy_compaction = true;
 
   // One pooled memory budget across the memtable and both block-cache

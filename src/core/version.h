@@ -24,6 +24,8 @@
 
 namespace iamdb {
 
+struct NodeEdit;
+
 class FileLifetime {
  public:
   FileLifetime(Env* env, std::string path) : env_(env), path_(std::move(path)) {}
@@ -93,6 +95,16 @@ struct NodeMeta {
 };
 
 using NodePtr = std::shared_ptr<NodeMeta>;
+
+// A node as a manifest records it at `level`, and back.  A node with a
+// file gets a fresh FileLifetime for that file.
+NodeEdit ToEdit(const NodeMeta& node, int level);
+NodePtr NodeFromEdit(const NodeEdit& edit, Env* env, const std::string& dbname);
+
+// The node a finished table build describes, ranged over its own data.
+// No lifetime is set.
+NodePtr NodeFromBuild(uint64_t node_id, uint64_t file_number,
+                      const MSTableBuildResult& result);
 
 // Point lookup of reqs[0, count) (sorted by internal key) in one level
 // whose nodes[0, num_nodes) hold disjoint user-key ranges in key order:

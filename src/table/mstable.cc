@@ -94,7 +94,9 @@ MSTableWriter::MSTableWriter(Env* env, const TableOptions& options,
     : env_(env), options_(options), fname_(std::move(fname)) {}
 
 MSTableWriter::~MSTableWriter() {
-  if (file_ != nullptr && !finished_) Abandon();
+  if (builder_ == nullptr || finished_) return;
+  if (file_ != nullptr) file_->Close();
+  env_->RemoveFile(fname_);
 }
 
 Status MSTableWriter::Open() {
@@ -118,7 +120,6 @@ uint64_t MSTableWriter::NumEntries() const { return builder_->num_entries(); }
 
 Status MSTableWriter::Finish(bool sync, MSTableBuildResult* result) {
   assert(!finished_);
-  finished_ = true;
   Status s = builder_->Finish();
   if (!s.ok()) return s;
 
@@ -141,16 +142,8 @@ Status MSTableWriter::Finish(bool sync, MSTableBuildResult* result) {
   InternalKeyComparator icmp;
   FillResultRanges(sequences, icmp, result);
   result->new_data_bytes = sequences[0].meta.data_bytes;
-  return Status::OK();
-}
-
-void MSTableWriter::Abandon() {
-  if (file_ != nullptr) {
-    file_->Close();
-    file_.reset();
-  }
-  env_->RemoveFile(fname_);
   finished_ = true;
+  return Status::OK();
 }
 
 // ---------------------------------------------------------------------------
@@ -179,7 +172,7 @@ MSTableAppender::MSTableAppender(Env* env, const TableOptions& options,
 }
 
 MSTableAppender::~MSTableAppender() {
-  if (file_ != nullptr && !finished_) Abandon();
+  if (file_ != nullptr) file_->Close();
 }
 
 Status MSTableAppender::Open() {
@@ -203,7 +196,6 @@ uint64_t MSTableAppender::NumEntries() const { return builder_->num_entries(); }
 
 Status MSTableAppender::Finish(bool sync, MSTableBuildResult* result) {
   assert(!finished_);
-  finished_ = true;
   Status s = builder_->Finish();
   if (!s.ok()) return s;
 
@@ -232,17 +224,8 @@ Status MSTableAppender::Finish(bool sync, MSTableBuildResult* result) {
   InternalKeyComparator icmp;
   FillResultRanges(sequences, icmp, result);
   result->new_data_bytes = builder_->meta().data_bytes;
-  return Status::OK();
-}
-
-void MSTableAppender::Abandon() {
-  // Nothing to delete: the partial append past the recorded meta_end is
-  // invisible to readers and will be overwritten-or-ignored later.
-  if (file_ != nullptr) {
-    file_->Close();
-    file_.reset();
-  }
   finished_ = true;
+  return Status::OK();
 }
 
 // ---------------------------------------------------------------------------

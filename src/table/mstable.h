@@ -45,6 +45,7 @@ class MSTableReader;
 class MSTableWriter {
  public:
   MSTableWriter(Env* env, const TableOptions& options, std::string fname);
+  // Deletes the file unless Finish succeeded (or Open never created it).
   ~MSTableWriter();
 
   MSTableWriter(const MSTableWriter&) = delete;
@@ -57,8 +58,6 @@ class MSTableWriter {
   uint64_t EstimatedDataBytes() const;
   uint64_t NumEntries() const;
   Status Finish(bool sync, MSTableBuildResult* result);
-  // Delete the partial file (error paths).
-  void Abandon();
 
  private:
   Env* env_;
@@ -78,6 +77,8 @@ class MSTableAppender {
   // reader may be released before Finish).
   MSTableAppender(Env* env, const TableOptions& options, std::string fname,
                   const MSTableReader& existing);
+  // Closes the file.  An unfinished append leaves bytes past the recorded
+  // meta_end, which readers never consult.
   ~MSTableAppender();
 
   MSTableAppender(const MSTableAppender&) = delete;
@@ -87,7 +88,6 @@ class MSTableAppender {
   Status Add(const Slice& internal_key, const Slice& value);
   uint64_t NumEntries() const;
   Status Finish(bool sync, MSTableBuildResult* result);
-  void Abandon();
 
  private:
   struct PriorSequence {

@@ -10,6 +10,7 @@
 // caller, so the group always completes even if no helper ever runs.
 #pragma once
 
+#include <cstdint>
 #include <functional>
 #include <vector>
 
@@ -27,5 +28,33 @@ class TaskGroup {
   static Status RunAll(ThreadPool* pool, ThreadPool::Lane lane,
                        std::vector<std::function<Status()>> tasks);
 };
+
+// Cuts `items` into at most `fan` (>= 1) contiguous groups balanced by
+// weight(item), in bytes: a new group starts once the open one holds
+// total/fan + 1, so a skewed item does not serialize a fan-out behind one
+// task.  There is always at least one group.
+template <typename T, typename Weight>
+std::vector<std::vector<T>> BalancedGroups(const std::vector<T>& items,
+                                           int fan, Weight weight) {
+  std::vector<uint64_t> weights;
+  weights.reserve(items.size());
+  uint64_t total = 0;
+  for (const T& item : items) {
+    weights.push_back(weight(item));
+    total += weights.back();
+  }
+  const uint64_t per_group = total / fan + 1;
+  std::vector<std::vector<T>> groups(1);
+  uint64_t acc = 0;
+  for (size_t i = 0; i < items.size(); i++) {
+    if (acc >= per_group && static_cast<int>(groups.size()) < fan) {
+      groups.emplace_back();
+      acc = 0;
+    }
+    groups.back().push_back(items[i]);
+    acc += weights[i];
+  }
+  return groups;
+}
 
 }  // namespace iamdb

@@ -9,6 +9,7 @@
 #include "table/block_builder.h"
 #include "table/two_level_iterator.h"
 #include "util/random.h"
+#include "str_cat.h"
 
 namespace iamdb {
 namespace {
@@ -52,7 +53,7 @@ TEST_F(BlockTest, ForwardScanSeesEverything) {
   for (int i = 0; i < 100; i++) {
     char buf[16];
     snprintf(buf, sizeof(buf), "key%04d", i);
-    entries.emplace_back(IKey(buf), "value" + std::to_string(i));
+    entries.emplace_back(IKey(buf), test::StrCat("value", i));
   }
   Build(entries);
   std::unique_ptr<Iterator> iter(NewIterator());
@@ -182,8 +183,8 @@ TEST_F(BlockTest, TwoLevelIteratorComposesBlocks) {
     BlockBuilder builder(4);
     std::string last;
     for (int i = 0; i < 10; i++) {
-      last = IKey("key" + std::to_string(b * 10 + i + 100));
-      builder.Add(last, "v" + std::to_string(b * 10 + i));
+      last = IKey(test::StrCat("key", b * 10 + i + 100));
+      builder.Add(last, test::StrCat("v", b * 10 + i));
     }
     data_blocks.push_back(
         std::make_unique<Block>(builder.Finish().ToString()));
@@ -204,7 +205,7 @@ TEST_F(BlockTest, TwoLevelIteratorComposesBlocks) {
   // Full forward pass: 30 entries in order.
   int count = 0;
   for (iter->SeekToFirst(); iter->Valid(); iter->Next(), count++) {
-    EXPECT_EQ("v" + std::to_string(count), iter->value().ToString());
+    EXPECT_EQ(test::StrCat("v", count), iter->value().ToString());
   }
   EXPECT_EQ(30, count);
 
@@ -226,7 +227,7 @@ TEST_F(BlockTest, TwoLevelIteratorComposesBlocks) {
   // Backward full pass.
   count = 29;
   for (iter->SeekToLast(); iter->Valid(); iter->Prev(), count--) {
-    EXPECT_EQ("v" + std::to_string(count), iter->value().ToString());
+    EXPECT_EQ(test::StrCat("v", count), iter->value().ToString());
   }
   EXPECT_EQ(-1, count);
 }
@@ -275,8 +276,8 @@ TEST_F(BlockTest, RandomizedMixedOperations) {
   Random rnd(1234);
   std::map<std::string, std::string> model;
   for (int i = 0; i < 500; i++) {
-    std::string key = IKey("key" + std::to_string(10000 + rnd.Uniform(100000)));
-    model[key] = "v" + std::to_string(i);
+    std::string key = IKey(test::StrCat("key", 10000 + rnd.Uniform(100000)));
+    model[key] = test::StrCat("v", i);
   }
   std::vector<std::pair<std::string, std::string>> entries(model.begin(),
                                                            model.end());
@@ -286,7 +287,7 @@ TEST_F(BlockTest, RandomizedMixedOperations) {
   std::unique_ptr<Iterator> iter(NewIterator());
   for (int trial = 0; trial < 200; trial++) {
     std::string probe =
-        IKey("key" + std::to_string(10000 + rnd.Uniform(100000)));
+        IKey(test::StrCat("key", 10000 + rnd.Uniform(100000)));
     iter->Seek(probe);
     auto it = model.lower_bound(probe);
     if (it == model.end()) {

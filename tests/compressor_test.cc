@@ -16,6 +16,7 @@
 #include "table/format.h"
 #include "util/crc32c.h"
 #include "util/random.h"
+#include "str_cat.h"
 
 namespace iamdb {
 namespace {
@@ -152,7 +153,7 @@ TEST(LzCompressorTest, BitFlipsNeverCrashOrOverread) {
   const Compressor* lz = GetCompressor(CompressionType::kLz);
   std::string input;
   for (int i = 0; i < 64; i++) {
-    input += "block " + std::to_string(i) + " payload payload ";
+    input += test::StrCat("block ", i, " payload payload ");
   }
   std::string compressed;
   ASSERT_TRUE(lz->Compress(input, &compressed));
@@ -197,7 +198,7 @@ TEST(ColumnarCompressorTest, RoundtripVariedValues) {
 TEST(ColumnarCompressorTest, RoundtripRestartVariants) {
   const Compressor* col = GetCompressor(CompressionType::kColumnar);
   for (int restart : {1, 2, 7, 16, 1000}) {
-    SCOPED_TRACE("restart_interval " + std::to_string(restart));
+    SCOPED_TRACE(test::StrCat("restart_interval ", restart));
     ExpectRoundtrip(col, BuildFixedRecordBlock(37, restart));
   }
   // Single entry, empty value.

@@ -16,6 +16,7 @@
 #include "env/mem_env.h"
 #include "test_seed.h"
 #include "util/random.h"
+#include "str_cat.h"
 
 namespace iamdb {
 namespace {
@@ -63,7 +64,7 @@ TEST_P(ConcurrencyTest, ReadersDuringHeavyWrites) {
   std::thread writer([&] {
     std::string value(100, 'v');
     for (int i = 0; i < 30000; i++) {
-      std::string v = "val-" + std::to_string(i % 3000);
+      std::string v = test::StrCat("val-", i % 3000);
       Status s = db_->Put(WriteOptions(), Key(i % 3000), v);
       if (!s.ok()) break;
       writer_progress.store(i, std::memory_order_relaxed);
@@ -81,7 +82,7 @@ TEST_P(ConcurrencyTest, ReadersDuringHeavyWrites) {
         Status s = db_->Get(ReadOptions(), Key(k), &value);
         if (s.ok()) {
           // Value must always be internally consistent with its key.
-          if (value != "val-" + std::to_string(k)) {
+          if (value != test::StrCat("val-", k)) {
             read_errors.fetch_add(1);
           }
         } else if (!s.IsNotFound()) {

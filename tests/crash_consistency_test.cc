@@ -30,6 +30,7 @@
 #include "test_seed.h"
 #include "util/random.h"
 #include "util/sync_point.h"
+#include "str_cat.h"
 
 namespace iamdb {
 namespace {
@@ -115,7 +116,7 @@ Op MakeOp(Random64* rnd, int serial) {
     } else {
       size_t len = 20 + rnd->Next() % 90;
       std::string value =
-          "v" + std::to_string(serial) + "." + std::to_string(w) + "-";
+          test::StrCat("v", serial, ".", w, "-");
       value.resize(len, 'x');
       op.writes.emplace_back(std::move(key), std::move(value));
     }
@@ -512,7 +513,7 @@ void VerifyShardedRecovered(const Options& options,
 
   Model union_of_shards;
   for (int shard = 0; shard < kCrashShards; shard++) {
-    SCOPED_TRACE("shard " + std::to_string(shard));
+    SCOPED_TRACE(test::StrCat("shard ", shard));
     Model dump;
     std::unique_ptr<Iterator> iter(
         db->NewShardIterator(ReadOptions(), shard));

@@ -15,6 +15,7 @@
 #include "core/db.h"
 #include "server/wire_protocol.h"
 #include "util/coding.h"
+#include "str_cat.h"
 
 namespace iamdb {
 namespace {
@@ -128,7 +129,7 @@ TEST(DbStatsCodecTest, GroupsOmittedOnlyWhenAllZero) {
   const std::vector<StatInfo> list = List();
   for (int g = 0; g < kNumStatGroups; g++) {
     const StatGroup group = static_cast<StatGroup>(g);
-    SCOPED_TRACE("group " + std::to_string(g));
+    SCOPED_TRACE(test::StrCat("group ", g));
     std::set<uint32_t> members, others;
     for (const StatInfo& info : list) {
       (info.group == group ? members : others).insert(info.tag);

@@ -11,6 +11,7 @@
 #include "core/db_impl.h"
 #include "env/mem_env.h"
 #include "util/random.h"
+#include "str_cat.h"
 
 namespace iamdb {
 namespace {
@@ -194,15 +195,15 @@ TEST_P(DbTest, WriteBatchAtomicity) {
 TEST_P(DbTest, ManyKeysThroughCompactions) {
   const int N = 20000;
   for (int i = 0; i < N; i++) {
-    ASSERT_TRUE(Put(Key(i), "value" + std::to_string(i)).ok());
+    ASSERT_TRUE(Put(Key(i), test::StrCat("value", i)).ok());
   }
   ASSERT_TRUE(db_->WaitForQuiescence().ok());
   // Spot-check point reads after the tree reorganised.
   for (int i = 0; i < N; i += 997) {
-    EXPECT_EQ("value" + std::to_string(i), Get(Key(i))) << Key(i);
+    EXPECT_EQ(test::StrCat("value", i), Get(Key(i))) << Key(i);
   }
   EXPECT_EQ("value0", Get(Key(0)));
-  EXPECT_EQ("value" + std::to_string(N - 1), Get(Key(N - 1)));
+  EXPECT_EQ(test::StrCat("value", N - 1), Get(Key(N - 1)));
 }
 
 TEST_P(DbTest, RandomInsertOrderFullScan) {
@@ -210,7 +211,7 @@ TEST_P(DbTest, RandomInsertOrderFullScan) {
   std::map<std::string, std::string> model;
   for (int i = 0; i < 8000; i++) {
     std::string k = Key(rnd.Uniform(4000));
-    std::string v = "v" + std::to_string(rnd.Next());
+    std::string v = test::StrCat("v", rnd.Next());
     ASSERT_TRUE(Put(k, v).ok());
     model[k] = v;
   }
@@ -236,7 +237,7 @@ TEST_P(DbTest, DeletesEventuallyReclaimed) {
 TEST_P(DbTest, OverwritesKeepLatestOnly) {
   for (int round = 0; round < 10; round++) {
     for (int i = 0; i < 1000; i++) {
-      ASSERT_TRUE(Put(Key(i), "round" + std::to_string(round)).ok());
+      ASSERT_TRUE(Put(Key(i), test::StrCat("round", round)).ok());
     }
   }
   ASSERT_TRUE(db_->WaitForQuiescence().ok());
@@ -387,7 +388,7 @@ TEST_P(DbTest, RangeScanAfterMixedWorkload) {
 
 TEST_P(DbTest, ReopenPreservesData) {
   for (int i = 0; i < 5000; i++) {
-    ASSERT_TRUE(Put(Key(i), "persisted" + std::to_string(i)).ok());
+    ASSERT_TRUE(Put(Key(i), test::StrCat("persisted", i)).ok());
   }
   auto before = Dump();
   Reopen();
@@ -410,7 +411,7 @@ TEST_P(DbTest, RepeatedReopen) {
   for (int round = 0; round < 5; round++) {
     for (int i = 0; i < 500; i++) {
       ASSERT_TRUE(
-          Put(Key(i + round * 500), "r" + std::to_string(round)).ok());
+          Put(Key(i + round * 500), test::StrCat("r", round)).ok());
     }
     Reopen();
   }
@@ -509,7 +510,7 @@ TEST_P(DbTest, RandomizedModelCheck) {
     int op = rnd.Uniform(100);
     std::string k = Key(rnd.Uniform(2000));
     if (op < 60) {
-      std::string v = "v" + std::to_string(i);
+      std::string v = test::StrCat("v", i);
       ASSERT_TRUE(Put(k, v).ok());
       model[k] = v;
     } else if (op < 85) {

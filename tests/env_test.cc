@@ -15,6 +15,7 @@
 #include "stats/amp_stats.h"
 #include "stats/device_model.h"
 #include "stats/io_stats.h"
+#include "str_cat.h"
 
 namespace iamdb {
 namespace {
@@ -146,7 +147,7 @@ class PosixEnvTest : public testing::Test {
  protected:
   void SetUp() override {
     dir_ = std::filesystem::temp_directory_path() /
-           ("iamdb_env_test_" + std::to_string(::getpid()));
+           (test::StrCat("iamdb_env_test_", ::getpid()));
     std::filesystem::remove_all(dir_);
     env_ = Env::Default();
     ASSERT_TRUE(env_->CreateDir(dir_.string()).ok());
@@ -496,7 +497,7 @@ TEST_F(FaultInjectionEnvTest, ErrorScheduleIsSeedDeterministic) {
     fault_.Heal();
     fault_.SetErrorSchedule(kFaultWrite, /*seed=*/123, /*one_in=*/3);
     std::unique_ptr<WritableFile> f;
-    ASSERT_TRUE(fault_.NewWritableFile("/sched" + std::to_string(run), &f)
+    ASSERT_TRUE(fault_.NewWritableFile(test::StrCat("/sched", run), &f)
                     .ok());
     for (int i = 0; i < 64; i++) runs[run].push_back(f->Append("x").ok());
   }

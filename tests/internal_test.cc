@@ -13,6 +13,7 @@
 #include "env/mem_env.h"
 #include "util/random.h"
 #include "table/merging_iterator.h"
+#include "str_cat.h"
 
 namespace iamdb {
 namespace {
@@ -137,7 +138,7 @@ TEST(CompactionStreamTest, RandomizedAgainstReferenceRule) {
     bool bottommost = rnd.OneIn(2);
     std::vector<std::pair<std::string, std::string>> input;
     for (int k = 0; k < 30; k++) {
-      std::string user = "k" + std::to_string(k);
+      std::string user = test::StrCat("k", k);
       int versions = 1 + rnd.Uniform(6);
       std::set<SequenceNumber> seqs;
       while (static_cast<int>(seqs.size()) < versions) {
@@ -146,7 +147,7 @@ TEST(CompactionStreamTest, RandomizedAgainstReferenceRule) {
       for (auto it = seqs.rbegin(); it != seqs.rend(); ++it) {
         ValueType t = rnd.OneIn(3) ? kTypeDeletion : kTypeValue;
         input.emplace_back(IKey(user, *it, t),
-                           t == kTypeValue ? "v" + std::to_string(*it) : "");
+                           t == kTypeValue ? test::StrCat("v", *it) : "");
       }
     }
 

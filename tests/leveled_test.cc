@@ -8,6 +8,7 @@
 #include "core/db.h"
 #include "env/mem_env.h"
 #include "util/random.h"
+#include "str_cat.h"
 
 namespace iamdb {
 namespace {
@@ -84,7 +85,7 @@ TEST_F(LeveledTest, L0OverlapReadsNewestFirst) {
   // file overlapping the previous ones.
   for (int gen = 0; gen < 5; gen++) {
     ASSERT_TRUE(
-        db->Put(WriteOptions(), "hot", "gen" + std::to_string(gen)).ok());
+        db->Put(WriteOptions(), "hot", test::StrCat("gen", gen)).ok());
     for (int i = 0; i < 400; i++) {  // force a flush
       ASSERT_TRUE(db->Put(WriteOptions(), Key(gen * 1000 + i), filler).ok());
     }

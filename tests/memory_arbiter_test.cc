@@ -22,6 +22,7 @@
 #include "test_seed.h"
 #include "util/random.h"
 #include "util/rate_limiter.h"
+#include "str_cat.h"
 
 namespace iamdb {
 namespace {
@@ -310,7 +311,7 @@ void ApplyRounds(DB* db, uint64_t seed, int rounds, int keyspace) {
       if (rnd.Next() % 8 == 0) {
         ASSERT_TRUE(db->Delete(WriteOptions(), Key(k)).ok());
       } else {
-        std::string value = "v" + std::to_string(rnd.Next() % 1000) + "-" +
+        std::string value = test::StrCat("v", rnd.Next() % 1000, "-") +
                             std::string(1 + rnd.Next() % 100, 'x');
         ASSERT_TRUE(db->Put(WriteOptions(), Key(k), value).ok());
       }

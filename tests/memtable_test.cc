@@ -13,6 +13,7 @@
 #include "memtable/write_batch.h"
 #include "util/arena.h"
 #include "util/random.h"
+#include "str_cat.h"
 
 namespace iamdb {
 namespace {
@@ -265,7 +266,7 @@ TEST_F(MemTableTest, IteratorSeek) {
 TEST_F(MemTableTest, MemoryUsageGrows) {
   size_t before = mem_->ApproximateMemoryUsage();
   for (int i = 0; i < 1000; i++) {
-    mem_->Add(i + 1, kTypeValue, "key" + std::to_string(i),
+    mem_->Add(i + 1, kTypeValue, test::StrCat("key", i),
               std::string(100, 'v'));
   }
   EXPECT_GT(mem_->ApproximateMemoryUsage(), before + 100 * 1000);
@@ -277,18 +278,18 @@ TEST_F(MemTableTest, RandomizedAgainstReferenceModel) {
   std::map<std::string, std::string> model;
   SequenceNumber seq = 1;
   for (int i = 0; i < 5000; i++) {
-    std::string key = "k" + std::to_string(rnd.Uniform(500));
+    std::string key = test::StrCat("k", rnd.Uniform(500));
     if (rnd.OneIn(4)) {
       mem_->Add(seq++, kTypeDeletion, key, "");
       model.erase(key);
     } else {
-      std::string value = "v" + std::to_string(rnd.Next());
+      std::string value = test::StrCat("v", rnd.Next());
       mem_->Add(seq++, kTypeValue, key, value);
       model[key] = value;
     }
   }
   for (int k = 0; k < 500; k++) {
-    std::string key = "k" + std::to_string(k);
+    std::string key = test::StrCat("k", k);
     bool found, deleted;
     std::string value = Get(key, seq, &found, &deleted);
     auto it = model.find(key);

@@ -7,6 +7,7 @@
 
 #include "core/dbformat.h"
 #include "env/counting_env.h"
+#include "env/fault_injection_env.h"
 #include "env/mem_env.h"
 #include "mstable_get.h"
 #include "table/cache.h"
@@ -14,6 +15,7 @@
 #include "table/merging_iterator.h"
 #include "table/mstable.h"
 #include "util/random.h"
+#include "str_cat.h"
 
 namespace iamdb {
 namespace {
@@ -91,7 +93,7 @@ TEST_F(MSTableTest, BuildAndReadSingleSequence) {
   for (int i = 0; i < 1000; i++) {
     char buf[16];
     snprintf(buf, sizeof(buf), "key%05d", i);
-    entries.emplace_back(IKey(buf, 10), "value" + std::to_string(i));
+    entries.emplace_back(IKey(buf, 10), test::StrCat("value", i));
   }
   auto result = BuildNew("/t1", entries);
   EXPECT_EQ(1u, result.seq_count);
@@ -110,6 +112,26 @@ TEST_F(MSTableTest, BuildAndReadSingleSequence) {
 
   Get(*reader, "key99999", 100, &state);
   EXPECT_EQ(MultiGetRequest::State::kPending, state);
+}
+
+// A writer whose Finish fails removes its file when destroyed.  Finish
+// fails here at the sync, after the data and metadata are written.
+TEST_F(MSTableTest, FailedFinishRemovesFile) {
+  FaultInjectionEnv faulty(&env_);
+  faulty.SetErrorSchedule(kFaultSync, /*seed=*/1, /*one_in=*/1);
+  {
+    MSTableWriter writer(&faulty, options_, "/tfail");
+    ASSERT_TRUE(writer.Open().ok());
+    for (int i = 0; i < 100; i++) {
+      char buf[16];
+      snprintf(buf, sizeof(buf), "key%05d", i);
+      ASSERT_TRUE(writer.Add(IKey(buf, 10), "value").ok());
+    }
+    MSTableBuildResult result;
+    EXPECT_FALSE(writer.Finish(/*sync=*/true, &result).ok());
+    EXPECT_TRUE(env_.FileExists("/tfail"));
+  }
+  EXPECT_FALSE(env_.FileExists("/tfail"));
 }
 
 TEST_F(MSTableTest, IteratorFullScan) {
@@ -182,7 +204,7 @@ TEST_F(MSTableTest, MultipleAppendsAccumulate) {
     auto reader = OpenReader("/t4", r.meta_end, gen);
     r = Append("/t4", *reader,
                {{IKey("a", static_cast<SequenceNumber>(gen)),
-                 "v" + std::to_string(gen)}});
+                 test::StrCat("v", gen)}});
     EXPECT_EQ(static_cast<uint32_t>(gen), r.seq_count);
   }
   auto reader = OpenReader("/t4", r.meta_end, 100);
@@ -285,7 +307,7 @@ TEST_F(MSTableTest, AppendsLeaveDeadMetadataAccountedInFootprint) {
   for (int gen = 2; gen <= 6; gen++) {
     auto reader = OpenReader("/tc", r.meta_end, gen);
     r = Append("/tc", *reader,
-               {{IKey("b" + std::to_string(gen), gen),
+               {{IKey(test::StrCat("b", gen), gen),
                  std::string(2000, 'v')}});
     data += 2000;
   }
@@ -329,7 +351,7 @@ TEST_F(MSTableTest, BloomPreventsDataBlockReads) {
   int fp_reads = 0;
   for (int i = 0; i < 200; i++) {
     IoStatsSnapshot pre = stats.Snapshot();
-    std::string ikey = IKey("absent" + std::to_string(i), 100);
+    std::string ikey = IKey(test::StrCat("absent", i), 100);
     ASSERT_TRUE(TableGet(*reader, ReadOptions(), ikey, &value, &state).ok());
     EXPECT_EQ(MultiGetRequest::State::kPending, state);
     if ((stats.Snapshot() - pre).read_ops > 0) fp_reads++;
@@ -418,7 +440,7 @@ TEST_F(MSTableTest, RandomizedMultiSequenceAgainstModel) {
     for (int i = 0; i < 300; i++) {
       char buf[16];
       snprintf(buf, sizeof(buf), "key%04d", rnd.Uniform(1000));
-      batch[buf] = "s" + std::to_string(s) + "i" + std::to_string(i);
+      batch[buf] = test::StrCat("s", s, "i", i);
     }
     std::vector<std::pair<std::string, std::string>> entries;
     for (const auto& [k, v] : batch) {

@@ -21,6 +21,7 @@
 #include "stats/io_stats.h"
 #include "util/random.h"
 #include "util/sync_point.h"
+#include "str_cat.h"
 
 namespace iamdb {
 namespace {
@@ -86,7 +87,7 @@ class MultiGetTest : public testing::TestWithParam<MultiGetParam> {
   }
 
   std::string Value(int i, int version) {
-    return "val-" + std::to_string(i) + "-v" + std::to_string(version) +
+    return test::StrCat("val-", i, "-v", version) +
            std::string(80, 'x');
   }
 
@@ -669,7 +670,7 @@ TEST_P(MultiGetTest, NotFoundReadMakesOnePass) {
   const char* kPoint = "DBImpl::Lookup:AfterEngineProbe";
   sp->SetCallback(kPoint, [&](void*) {
     if (installs == 5) return;
-    const std::string filler = "filler" + std::to_string(installs++);
+    const std::string filler = test::StrCat("filler", installs++);
     ASSERT_TRUE(db_->Put(WriteOptions(), filler, "x").ok());
     ASSERT_TRUE(db_->FlushAll().ok());
   });

@@ -18,6 +18,7 @@
 #include "table/mstable.h"
 #include "test_seed.h"
 #include "util/random.h"
+#include "str_cat.h"
 
 namespace iamdb {
 namespace {
@@ -41,7 +42,7 @@ TEST_P(BlockSweepTest, RoundTripAndSeek) {
   Random rnd(static_cast<uint32_t>(seed));
   std::map<std::string, std::string> model;
   for (int i = 0; i < num_entries; i++) {
-    model[IKey("key" + std::to_string(rnd.Uniform(100000) + 100000), 5)] =
+    model[IKey(test::StrCat("key", rnd.Uniform(100000) + 100000), 5)] =
         std::string(rnd.Uniform(64), 'v');
   }
   BlockBuilder builder(restart_interval);
@@ -62,7 +63,7 @@ TEST_P(BlockSweepTest, RoundTripAndSeek) {
   // Random seeks land on lower_bound.
   for (int probe = 0; probe < 50; probe++) {
     std::string target =
-        IKey("key" + std::to_string(rnd.Uniform(100000) + 100000), 5);
+        IKey(test::StrCat("key", rnd.Uniform(100000) + 100000), 5);
     iter->Seek(target);
     auto lb = model.lower_bound(target);
     if (lb == model.end()) {
@@ -79,8 +80,8 @@ INSTANTIATE_TEST_SUITE_P(
     testing::Combine(testing::Values(0, 1, 7, 64, 500),
                      testing::Values(1, 2, 16, 128)),
     [](const testing::TestParamInfo<std::tuple<int, int>>& info) {
-      return "n" + std::to_string(std::get<0>(info.param)) + "_ri" +
-             std::to_string(std::get<1>(info.param));
+      return test::StrCat("n", std::get<0>(info.param), "_ri",
+                          std::get<1>(info.param));
     });
 
 // ---------------------------------------------------------------------------
@@ -93,7 +94,7 @@ TEST_P(BloomSweepTest, NoFalseNegativesAndBoundedFalsePositives) {
   BloomFilterPolicy policy(bits);
   std::vector<std::string> storage;
   for (int i = 0; i < 2000; i++) {
-    storage.push_back("key" + std::to_string(i * 37));
+    storage.push_back(test::StrCat("key", i * 37));
   }
   std::vector<Slice> keys(storage.begin(), storage.end());
   std::string filter;
@@ -104,7 +105,7 @@ TEST_P(BloomSweepTest, NoFalseNegativesAndBoundedFalsePositives) {
   }
   int fp = 0;
   for (int i = 0; i < 5000; i++) {
-    if (policy.KeyMayMatch("absent" + std::to_string(i), filter)) fp++;
+    if (policy.KeyMayMatch(test::StrCat("absent", i), filter)) fp++;
   }
   // Loose theoretical bound: (0.6185)^bits, with generous slack.
   double expected = std::pow(0.6185, bits);
@@ -114,7 +115,7 @@ TEST_P(BloomSweepTest, NoFalseNegativesAndBoundedFalsePositives) {
 INSTANTIATE_TEST_SUITE_P(Sweep, BloomSweepTest,
                          testing::Values(4, 8, 10, 14, 20),
                          [](const testing::TestParamInfo<int>& info) {
-                           return "bits" + std::to_string(info.param);
+                           return test::StrCat("bits", info.param);
                          });
 
 // ---------------------------------------------------------------------------
@@ -142,7 +143,7 @@ TEST_P(MSTableSweepTest, MultiAppendModelCheck) {
     for (int i = 0; i < 120; i++) {
       char buf[16];
       snprintf(buf, sizeof(buf), "k%05d", rnd.Uniform(600));
-      batch[buf] = "a" + std::to_string(append) + "v" + std::to_string(i);
+      batch[buf] = test::StrCat("a", append, "v", i);
     }
     MSTableBuildResult result;
     if (append == 0) {
@@ -197,8 +198,8 @@ INSTANTIATE_TEST_SUITE_P(
     testing::Combine(testing::Values(256, 1024, 8192),
                      testing::Values(0, 1, 4, 9)),
     [](const testing::TestParamInfo<std::tuple<int, int>>& info) {
-      return "bs" + std::to_string(std::get<0>(info.param)) + "_app" +
-             std::to_string(std::get<1>(info.param));
+      return test::StrCat("bs", std::get<0>(info.param), "_app",
+                          std::get<1>(info.param));
     });
 
 // ---------------------------------------------------------------------------
@@ -213,7 +214,7 @@ struct DbSweepParam {
     std::string n = engine == EngineType::kLeveled
                         ? "Leveled"
                         : (policy == AmtPolicy::kLsa ? "Lsa" : "Iam");
-    n += "_v" + std::to_string(value_size);
+    n += test::StrCat("_v", value_size);
     n += pattern == 0 ? "_seq" : (pattern == 1 ? "_rand" : "_skew");
     return n;
   }
@@ -359,7 +360,7 @@ TEST_P(FanoutSweepTest, InvariantsAndReadsAcrossFanouts) {
 
 INSTANTIATE_TEST_SUITE_P(Sweep, FanoutSweepTest, testing::Values(2, 3, 5, 10),
                          [](const testing::TestParamInfo<int>& info) {
-                           return "t" + std::to_string(info.param);
+                           return test::StrCat("t", info.param);
                          });
 
 INSTANTIATE_TEST_SUITE_P(

@@ -11,6 +11,7 @@
 #include "env/mem_env.h"
 #include "stats/io_stats.h"
 #include "util/random.h"
+#include "str_cat.h"
 
 namespace iamdb {
 namespace {
@@ -94,7 +95,7 @@ TEST_P(ReadAmpTest, AbsentReadsCostNearZeroSeeks) {
   for (int i = 0; i < probes; i++) {
     OpIoScope scope;
     std::string value;
-    Status s = db_->Get(ReadOptions(), "absent" + std::to_string(i), &value);
+    Status s = db_->Get(ReadOptions(), test::StrCat("absent", i), &value);
     ASSERT_TRUE(s.IsNotFound());
     seeks += scope.context().seeks;
   }

@@ -28,6 +28,7 @@
 #include "util/coding.h"
 #include "util/crc32c.h"
 #include "util/sync_point.h"
+#include "str_cat.h"
 
 namespace iamdb {
 namespace {
@@ -288,7 +289,7 @@ TEST_F(ServerTest, ScanBoundedRange) {
 TEST_F(ServerTest, InfoStatsAndProperties) {
   Client client(MakeClientOptions());
   for (int i = 0; i < 100; i++) {
-    ASSERT_TRUE(client.Put("info" + std::to_string(i),
+    ASSERT_TRUE(client.Put(test::StrCat("info", i),
                            std::string(100, 'x')).ok());
   }
   ASSERT_TRUE(db_->FlushAll().ok());
@@ -330,12 +331,12 @@ TEST_F(ServerTest, ManyClientsPipelinedStress) {
       Client client(MakeClientOptions());
       for (int i = 0; i < kOpsPerClient; i++) {
         std::string key =
-            "c" + std::to_string(c) + "-" + std::to_string(i);
+            test::StrCat("c", c, "-", i);
         if (!client.Put(key, "v" + key).ok()) failures++;
       }
       for (int i = 0; i < kOpsPerClient; i++) {
         std::string key =
-            "c" + std::to_string(c) + "-" + std::to_string(i);
+            test::StrCat("c", c, "-", i);
         std::string value;
         if (!client.Get(key, &value).ok() || value != "v" + key) failures++;
       }
@@ -358,7 +359,7 @@ TEST_F(ServerTest, RawPipelinedRequests) {
   std::string wire_out;
   for (uint64_t id = 1; id <= kRequests; id++) {
     std::string payload;
-    wire::EncodePut("pipe" + std::to_string(id), "v" + std::to_string(id),
+    wire::EncodePut(test::StrCat("pipe", id), test::StrCat("v", id),
                     &payload);
     wire::BuildFrame(id, wire::Opcode::kPut, payload, &wire_out);
   }
@@ -489,7 +490,7 @@ TEST_F(ServerTest, GracefulShutdownDrainsInFlightRequests) {
   std::string wire_out;
   for (uint64_t id = 1; id <= kRequests; id++) {
     std::string payload;
-    wire::EncodePut("drain" + std::to_string(id), std::string(256, 'd'),
+    wire::EncodePut(test::StrCat("drain", id), std::string(256, 'd'),
                     &payload);
     wire::BuildFrame(id, wire::Opcode::kPut, payload, &wire_out);
   }
@@ -523,7 +524,7 @@ TEST_F(ServerTest, GracefulShutdownDrainsInFlightRequests) {
   for (const auto& [id, ok] : answered) {
     std::string value;
     EXPECT_TRUE(
-        db_->Get(ReadOptions(), "drain" + std::to_string(id), &value).ok())
+        db_->Get(ReadOptions(), test::StrCat("drain", id), &value).ok())
         << "answered request " << id << " missing from DB";
   }
 }
@@ -635,12 +636,12 @@ TEST_F(ServerTest, PipelinedClientWaitsOutOfOrder) {
   constexpr int kN = 16;
   for (int i = 0; i < kN; i++) {
     ASSERT_TRUE(
-        client.Put("pl" + std::to_string(i), "v" + std::to_string(i)).ok());
+        client.Put(test::StrCat("pl", i), test::StrCat("v", i)).ok());
   }
 
   std::vector<uint64_t> ids;
   for (int i = 0; i < kN; i++) {
-    uint64_t id = client.SubmitGet("pl" + std::to_string(i));
+    uint64_t id = client.SubmitGet(test::StrCat("pl", i));
     ASSERT_NE(0u, id);
     ids.push_back(id);
   }
@@ -654,7 +655,7 @@ TEST_F(ServerTest, PipelinedClientWaitsOutOfOrder) {
     std::string value;
     Status s = client.WaitGet(ids[i], &value);
     ASSERT_TRUE(s.ok()) << s.ToString();
-    EXPECT_EQ("v" + std::to_string(i), value);
+    EXPECT_EQ(test::StrCat("v", i), value);
   }
   std::string value;
   EXPECT_TRUE(client.WaitGet(miss_id, &value).IsNotFound());
@@ -706,7 +707,7 @@ TEST_F(ServerTest, ShutdownWithInFlightDbWork) {
     clients.push_back(std::make_unique<Client>(MakeClientOptions()));
     ASSERT_TRUE(clients[c]->Connect().ok());
     for (int i = 0; i < kOps; i++) {
-      std::string key = "sd" + std::to_string(c) + "-" + std::to_string(i);
+      std::string key = test::StrCat("sd", c, "-", i);
       uint64_t id = clients[c]->SubmitPut(key, value);
       if (id != 0) submitted[c].emplace_back(id, key);
     }
@@ -920,7 +921,7 @@ std::string InlineKey(int i) {
 }
 
 std::string InlineValue(int i) {
-  return "v" + std::to_string(i) + std::string(100, 'x');
+  return test::StrCat("v", i) + std::string(100, 'x');
 }
 
 // Loads keys [0, n) and pushes them all to disk, so nothing is answered
@@ -1095,7 +1096,7 @@ TEST(ServerInlineReadTest, VersionInstallMidReadStaysInline) {
   std::atomic<int> installs{0};
   auto install_once = [&](void*) {
     if (!armed.exchange(false)) return;
-    const std::string filler = "zz-filler" + std::to_string(installs.load());
+    const std::string filler = test::StrCat("zz-filler", installs.load());
     ASSERT_TRUE(db->Put(WriteOptions(), filler, "x").ok());
     ASSERT_TRUE(db->FlushAll().ok());
     installs++;

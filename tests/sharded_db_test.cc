@@ -21,6 +21,7 @@
 #include "shard/sharded_db.h"
 #include "table/iterator.h"
 #include "test_seed.h"
+#include "str_cat.h"
 
 namespace iamdb {
 namespace {
@@ -212,15 +213,14 @@ void RunEquivalence(const EngineCase& engine, int num_shards, uint64_t seed) {
       WriteBatch b1, b2;
       for (int j = 0; j < 8; j++) {
         const std::string bk = Key(static_cast<int>(rng() % kKeySpace));
-        const std::string bv = "b" + std::to_string(i) + "." +
-                               std::to_string(j);
+        const std::string bv = test::StrCat("b", i, ".", j);
         b1.Put(bk, bv);
         b2.Put(bk, bv);
       }
       ASSERT_TRUE(sharded->Write(WriteOptions(), &b1).ok());
       ASSERT_TRUE(plain->Write(WriteOptions(), &b2).ok());
     } else {
-      const std::string value = "v" + std::to_string(i);
+      const std::string value = test::StrCat("v", i);
       ASSERT_TRUE(sharded->Put(WriteOptions(), key, value).ok());
       ASSERT_TRUE(plain->Put(WriteOptions(), key, value).ok());
     }
@@ -324,7 +324,7 @@ TEST(ShardedEquivalenceTest, AllEnginesAllShardCounts) {
 TEST(ShardedMultiGetTest, MatchesPerKeyGets) {
   const uint64_t seed = test::TestSeed(20260808);
   for (int num_shards : {1, 2, 4}) {
-    SCOPED_TRACE("shards=" + std::to_string(num_shards));
+    SCOPED_TRACE(test::StrCat("shards=", num_shards));
     MemEnv env;
     Options options = MakeOptions(&env, kEngines[2]);
     std::unique_ptr<DB> db;
@@ -338,7 +338,7 @@ TEST(ShardedMultiGetTest, MatchesPerKeyGets) {
         ASSERT_TRUE(db->Delete(WriteOptions(), key).ok());
       } else {
         ASSERT_TRUE(
-            db->Put(WriteOptions(), key, "v" + std::to_string(i)).ok());
+            db->Put(WriteOptions(), key, test::StrCat("v", i)).ok());
       }
     }
 
@@ -445,7 +445,7 @@ TEST(ShardedStatsTest, SumsShardsAndExposesBreakdown) {
   EXPECT_EQ(prop, "v=1 shards=4 hash=splitmix64");
   ASSERT_TRUE(db->GetProperty("iamdb.shard-stats", &prop));
   for (int s = 0; s < 4; s++) {
-    EXPECT_NE(prop.find("[shard " + std::to_string(s) + "]"),
+    EXPECT_NE(prop.find(test::StrCat("[shard ", s, "]")),
               std::string::npos)
         << prop;
   }
@@ -583,7 +583,7 @@ TEST_F(ShardedServerTest, ScanShardedMergesAndBounds) {
   std::vector<std::string> keys;
   for (int i = 0; i < 60; i++) {
     keys.push_back(Key(i));
-    ASSERT_TRUE(client->Put(keys.back(), "v" + std::to_string(i)).ok());
+    ASSERT_TRUE(client->Put(keys.back(), test::StrCat("v", i)).ok());
   }
 
   // Full range: globally sorted despite per-shard storage.

@@ -10,6 +10,7 @@
 #include "env/mem_env.h"
 #include "test_seed.h"
 #include "util/random.h"
+#include "str_cat.h"
 
 namespace iamdb {
 namespace {
@@ -168,8 +169,7 @@ TEST_P(StressTest, SnapshotPinningUnderChurn) {
         ASSERT_TRUE(db->Delete(WriteOptions(), key).ok());
         model.erase(key);
       } else {
-        std::string value = "e" + std::to_string(epoch) + "-" +
-                            std::to_string(i);
+        std::string value = test::StrCat("e", epoch, "-", i);
         ASSERT_TRUE(db->Put(WriteOptions(), key, value).ok());
         model[key] = value;
       }

@@ -21,6 +21,7 @@
 #include "util/rate_limiter.h"
 #include "util/task_group.h"
 #include "util/thread_pool.h"
+#include "str_cat.h"
 
 namespace iamdb {
 namespace {
@@ -158,7 +159,7 @@ void ApplySeededWorkload(DB* db, uint64_t seed, int rounds, int keyspace) {
       if (rnd.Next() % 8 == 0) {
         ASSERT_TRUE(db->Delete(WriteOptions(), Key(k)).ok());
       } else {
-        std::string value = "v" + std::to_string(rnd.Next() % 1000) + "-" +
+        std::string value = test::StrCat("v", rnd.Next() % 1000, "-") +
                             std::string(1 + rnd.Next() % 100, 'x');
         ASSERT_TRUE(db->Put(WriteOptions(), Key(k), value).ok());
       }
@@ -235,7 +236,7 @@ TEST_P(SubcompactionTest, ConcurrentShardedCompactionStress) {
   Options options = SmallTreeOptions(GetParam(), &env);
   options.background_threads = 4;
   options.max_subcompactions = 4;
-  options.compaction_rate_limit = 256 << 20;  // paced, but not slow
+  options.pacing = PacingOptions::Pinned(256 << 20);  // paced, but not slow
   std::unique_ptr<DB> db;
   ASSERT_TRUE(DB::Open(options, "/db", &db).ok());
 
@@ -267,7 +268,7 @@ TEST_P(SubcompactionTest, ConcurrentShardedCompactionStress) {
       model.erase(key);
     } else {
       std::string value =
-          "s" + std::to_string(i) + std::string(rnd.Next() % 150, 'y');
+          test::StrCat("s", i) + std::string(rnd.Next() % 150, 'y');
       ASSERT_TRUE(db->Put(WriteOptions(), key, value).ok());
       model[key] = value;
     }

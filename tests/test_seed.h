@@ -10,6 +10,7 @@
 #include <cstdlib>
 #include <string>
 
+#include "str_cat.h"
 #include "table/compressor.h"
 
 namespace iamdb {
@@ -31,8 +32,7 @@ inline uint64_t TestSeed(uint64_t default_seed) {
 
 // Attach via SCOPED_TRACE so failures print the replay recipe.
 inline std::string SeedTrace(uint64_t seed) {
-  return "seed=" + std::to_string(seed) +
-         " (replay with IAMDB_TEST_SEED=" + std::to_string(seed) + ")";
+  return StrCat("seed=", seed, " (replay with IAMDB_TEST_SEED=", seed, ")");
 }
 
 // Block codec for the seeded fault/crash/equivalence matrices: setting

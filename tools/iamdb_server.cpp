@@ -17,9 +17,9 @@
 // --cache_mb / --compressed_cache_mb then only set the tier ratio.  With
 // --db_shards the budget divides evenly across the shards.
 //
-// --adaptive_pacing replaces the fixed --rate_limit_mb budget with the
-// debt/ingest feedback controller (core/compaction_pacer.h); when both are
-// given, --rate_limit_mb caps the adaptive budget.
+// --rate_limit_mb alone pins the compaction pacer at that budget;
+// --adaptive_pacing turns on its debt/ingest feedback controller
+// (core/compaction_pacer.h), and then --rate_limit_mb caps the budget.
 //
 // --shards controls the network reactor; --db_shards partitions the
 // database itself into N independent instances (ShardedDB).  A db dir
@@ -80,6 +80,7 @@ int main(int argc, char** argv) {
   db_options.env = Env::Default();
   int bg_threads = 0;   // 0 = derive from the machine / worker count
   int db_shards = 0;    // 0 = single instance unless a SHARDMAP exists
+  uint64_t rate_limit = 0;  // bytes/sec; 0 = unpaced
 
   for (int i = 1; i < argc; i++) {
     std::string v;
@@ -104,8 +105,7 @@ int main(int argc, char** argv) {
     } else if (ParseFlag(argv[i], "subcompactions", &v)) {
       db_options.max_subcompactions = std::atoi(v.c_str());
     } else if (ParseFlag(argv[i], "rate_limit_mb", &v)) {
-      db_options.compaction_rate_limit =
-          static_cast<uint64_t>(std::atoll(v.c_str())) << 20;
+      rate_limit = static_cast<uint64_t>(std::atoll(v.c_str())) << 20;
     } else if (ParseFlag(argv[i], "cache_mb", &v)) {
       db_options.block_cache_capacity =
           static_cast<uint64_t>(std::atoll(v.c_str())) << 20;
@@ -143,10 +143,12 @@ int main(int argc, char** argv) {
     }
   }
   if (dbdir.empty()) return Usage(argv[0]);
-  if (db_options.pacing.adaptive && db_options.compaction_rate_limit > 0) {
+  if (rate_limit > 0 && !db_options.pacing.adaptive) {
+    db_options.pacing = PacingOptions::Pinned(rate_limit);
+  } else if (rate_limit > 0) {
     // Both flags: the fixed limit becomes the adaptive ceiling.
-    db_options.pacing.max_bytes_per_sec = std::min(
-        db_options.pacing.max_bytes_per_sec, db_options.compaction_rate_limit);
+    db_options.pacing.max_bytes_per_sec =
+        std::min(db_options.pacing.max_bytes_per_sec, rate_limit);
     db_options.pacing.min_bytes_per_sec = std::min(
         db_options.pacing.min_bytes_per_sec, db_options.pacing.max_bytes_per_sec);
   }
